@@ -18,6 +18,7 @@ import io
 import numpy as np
 
 from .errors import ParameterError
+from .filters import PARAMS
 
 
 def mse(ref, est):
@@ -112,7 +113,8 @@ def snr_db(signal, noise):
     return 10.0 * log10(e_s / e_n)
 
 
-_REPORT_PARAMS = ("alpha", "beta", "theta", "gamma", "T_c", "q1", "q2", "r")
+# every variant's parameters, in order of first appearance in PARAMS
+_REPORT_PARAMS = tuple(dict.fromkeys(name for names in PARAMS.values() for name in names))
 
 
 @dataclass
@@ -129,26 +131,10 @@ class Report:
 
     def results_csv(self):
         """Render the result rows as CSV text (repr floats, round-trip exact)."""
-        if not self.rows:
-            return ""
-        fields = list(self.rows[0].keys())
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(fields)
-        for row in self.rows:
-            writer.writerow([_cell(row.get(f)) for f in fields])
-        return buf.getvalue()
+        return _rows_csv(self.rows)
 
     def trajectories_csv(self):
-        if not self.trajectory_rows:
-            return ""
-        fields = list(self.trajectory_rows[0].keys())
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(fields)
-        for row in self.trajectory_rows:
-            writer.writerow([_cell(row.get(f)) for f in fields])
-        return buf.getvalue()
+        return _rows_csv(self.trajectory_rows)
 
     def write(self, outdir):
         """Write report.txt, results.csv and (if present) trajectories.csv."""
@@ -161,6 +147,19 @@ class Report:
         if self.trajectory_rows:
             with open(os.path.join(outdir, "trajectories.csv"), "w", newline="") as fh:
                 fh.write(self.trajectories_csv())
+
+
+def _rows_csv(rows):
+    """CSV text of dict rows under the first row's keys; empty for no rows."""
+    if not rows:
+        return ""
+    fields = list(rows[0].keys())
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([_cell(row.get(f)) for f in fields])
+    return buf.getvalue()
 
 
 def _cell(value):

@@ -198,10 +198,7 @@ def cmd_tune(config, args):
 
     corrected = run_correction(log, params)
     seed_params = config.filter_params()
-    x0 = None
-    if seed_params is not None:
-        order = tuning.PARAM_ORDER[filters.canonical_variant(config.variant)]
-        x0 = [seed_params[name] for name in order]
+    x0 = None if seed_params is None else list(seed_params.values())
     result = tuning.tune_filter(config.variant, corrected, ref_phi, config.dt,
                                 cfg=cfg, x0=x0)
     report = analysis.make_report([result])

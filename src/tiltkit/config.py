@@ -20,6 +20,7 @@ from typing import Optional
 
 from .correction import CorrectionParams
 from .errors import ConfigError, ParseError
+from .filters import PARAMS, canonical_variant
 from .model import AccelErrorModel, GyroErrorModel
 from .reference import (
     ACCEL_SATURATION_MPS2,
@@ -27,8 +28,6 @@ from .reference import (
     REF_ENCODER_PULSES_PER_REV,
 )
 from .tuning import OptimizerConfig
-
-_FILTER_PARAM_KEYS = ("alpha", "beta", "theta", "gamma", "T_c", "q1", "q2", "r")
 
 
 @dataclass
@@ -111,21 +110,11 @@ class RunConfig:
             R=self.R_m, R_w=self.Rw_m, T_omega=self.T_omega_s, T_v=self.T_v_s)
 
     def filter_params(self):
-        """The parameter dict for the configured variant, or None if any of
-        the variant's parameters is missing."""
-        from .filters import canonical_variant
-        variant = canonical_variant(self.variant)
-        needed = {
-            "wob": ("alpha", "beta"),
-            "wb": ("alpha", "beta"),
-            "abtg": ("alpha", "beta", "theta", "gamma"),
-            "wa_a": ("alpha", "beta", "theta"),
-            "wa_b": ("alpha", "beta", "theta"),
-            "complementary": ("T_c",),
-            "kalman": ("q1", "q2", "r"),
-            "kalman_star": ("q1", "q2", "r"),
-        }[variant]
-        values = {name: getattr(self, name) for name in needed}
+        """The parameter dict for the configured variant, keyed in
+        :data:`tiltkit.filters.PARAMS` order, or None if any of the variant's
+        parameters is missing."""
+        names = PARAMS[canonical_variant(self.variant)]
+        values = {name: getattr(self, name) for name in names}
         if any(v is None for v in values.values()):
             return None
         return values

@@ -21,23 +21,34 @@ with variant-specific A, B, C, K.  Fixed-gain variants:
 ``kalman`` and ``kalman_star`` share the ``wb`` structure but recompute the
 gain each step from the covariance recursion (identical algorithms, the
 tags record whether the covariances came from noise analysis or from
-optimisation).  Covariance prediction uses A P A^T + Q and P is
+optimisation).  The gain sequence depends only on (q1, q2, r, P0, dt) and
+never on the data, so one scalar recursion produces it for both the filter
+loop and the steady-state search.  P0 comes from :func:`kalman_init_P`
+when the spec carries ``alpha0``/``beta0`` (the first gain then equals
+them), else it is the identity.  :func:`kalman_step` is the matrix-form
+reference of one cycle: covariance prediction uses A P A^T + Q and P is
 re-symmetrised after every update to suppress floating-point drift.
+
+``PARAMS`` names each variant's parameters in the order the tuner searches
+them; every other per-variant parameter list is derived from it.  Specs
+refuse NaN and infinite parameters.
 
 Stability of a spec is judged from the eigenvalues of [A - KCA]: strictly
 stable when every magnitude is below 1 - 1e-9, marginal when the largest
-magnitude sits within 1e-9 of one, unstable above 1 + 1e-9.  Eigenvalues
-are computed in closed form (quadratic for 2x2, a Cardano/trigonometric
-characteristic-cubic solver for 3x3).  For the kalman variants the check
-runs the covariance recursion until the gain settles (tolerance 1e-12,
-capped at 50000 iterations) and evaluates the error dynamics at that gain.
+magnitude sits within 1e-9 of one, unstable above 1 + 1e-9 or when any
+magnitude is not finite.  Eigenvalues are computed in closed form
+(quadratic for 2x2, a Cardano/trigonometric characteristic-cubic solver
+for 3x3).  For the kalman variants the check runs the covariance recursion
+until the gain settles (tolerance 1e-12, capped at 50000 iterations) and
+evaluates the error dynamics at that gain.
 
 Specs are immutable and shareable; filter/Kalman states are single-owner
 sequential values, so many (spec, log) pairs can be evaluated in parallel.
 """
 
 from dataclasses import dataclass, field
-from math import acos, cos, pi, sqrt
+from itertools import count, islice
+from math import acos, cos, isfinite, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -53,24 +64,21 @@ COMPLEMENTARY = "complementary"
 KALMAN = "kalman"
 KALMAN_STAR = "kalman_star"
 
-FIXED_GAIN_VARIANTS = (WOB, WB, ABTG, WA_A, WA_B, COMPLEMENTARY)
+# Each variant's parameters, in the order the tuner searches them.
+PARAMS = {
+    WOB: ("alpha", "beta"),
+    WB: ("alpha", "beta"),
+    ABTG: ("alpha", "beta", "theta", "gamma"),
+    WA_A: ("alpha", "beta", "theta"),
+    WA_B: ("alpha", "beta", "theta"),
+    COMPLEMENTARY: ("T_c",),
+    KALMAN: ("q1", "q2", "r"),
+    KALMAN_STAR: ("q1", "q2", "r"),
+}
 KALMAN_VARIANTS = (KALMAN, KALMAN_STAR)
-ALL_VARIANTS = FIXED_GAIN_VARIANTS + KALMAN_VARIANTS
-
-_REQUIRED_PARAMS = {
-    WOB: frozenset({"alpha", "beta"}),
-    WB: frozenset({"alpha", "beta"}),
-    ABTG: frozenset({"alpha", "beta", "theta", "gamma"}),
-    WA_A: frozenset({"alpha", "beta", "theta"}),
-    WA_B: frozenset({"alpha", "beta", "theta"}),
-    COMPLEMENTARY: frozenset({"T_c"}),
-    KALMAN: frozenset({"q1", "q2", "r"}),
-    KALMAN_STAR: frozenset({"q1", "q2", "r"}),
-}
-_OPTIONAL_PARAMS = {
-    KALMAN: frozenset({"alpha0", "beta0"}),
-    KALMAN_STAR: frozenset({"alpha0", "beta0"}),
-}
+FIXED_GAIN_VARIANTS = tuple(v for v in PARAMS if v not in KALMAN_VARIANTS)
+ALL_VARIANTS = tuple(PARAMS)
+_KALMAN_INIT_GAINS = frozenset({"alpha0", "beta0"})  # optional first gain
 
 _STABILITY_TOL = 1e-9
 _RICCATI_TOL = 1e-12
@@ -100,8 +108,6 @@ class FilterSpec:
     K: Optional[np.ndarray]
     dt: float
     params: dict = field(default_factory=dict)
-    state_labels: tuple = ()
-    current_input: bool = False  # True when u is taken at sample k, not k-1
 
     @property
     def n_states(self):
@@ -136,40 +142,36 @@ def make_filter(variant, params, dt):
     """Build the :class:`FilterSpec` of a variant from its named scalars.
 
     Raises :class:`FilterConfigError` when the parameter set does not match
-    the variant (each variant's set is part of the error message).
+    the variant (each variant's set is part of the error message) or when a
+    parameter is NaN or infinite.
     """
     variant = canonical_variant(variant)
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    required = _REQUIRED_PARAMS[variant]
-    optional = _OPTIONAL_PARAMS.get(variant, frozenset())
+    required = frozenset(PARAMS[variant])
+    optional = _KALMAN_INIT_GAINS if variant in KALMAN_VARIANTS else frozenset()
     given = frozenset(params)
     if not (required <= given <= required | optional):
         raise FilterConfigError(
             f"variant {variant} takes parameters {sorted(required)}"
             + (f" (optional: {sorted(optional)})" if optional else "")
             + f", got {sorted(given)}")
-
     p = dict(params)
-    if variant == WOB:
+    bad = sorted(name for name, value in p.items() if not isfinite(value))
+    if bad:
+        raise FilterConfigError(
+            f"variant {variant} needs finite parameters, got "
+            + ", ".join(f"{name}={p[name]!r}" for name in bad))
+
+    if variant in (WOB, ABTG):
         A = np.array([[1.0, dt], [0.0, 1.0]])
         B = np.zeros((2, 0))
         C = np.eye(2)
-        K = np.array([[p["alpha"], 0.0], [0.0, p["beta"]]])
-        labels = ("phi", "phi_dot")
-    elif variant == WB:
-        A = np.array([[1.0, -dt], [0.0, 1.0]])
-        B = np.array([[dt], [0.0]])
-        C = np.array([[1.0, 0.0]])
-        K = np.array([[p["alpha"]], [p["beta"]]])
-        labels = ("phi", "bias")
-    elif variant == ABTG:
-        A = np.array([[1.0, dt], [0.0, 1.0]])
-        B = np.zeros((2, 0))
-        C = np.eye(2)
-        K = np.array([[p["alpha"], p["theta"] * dt],
-                      [p["beta"] / dt, p["gamma"]]])
-        labels = ("phi", "phi_dot")
+        if variant == WOB:
+            K = np.array([[p["alpha"], 0.0], [0.0, p["beta"]]])
+        else:
+            K = np.array([[p["alpha"], p["theta"] * dt],
+                          [p["beta"] / dt, p["gamma"]]])
     elif variant in (WA_A, WA_B):
         A = np.array([[1.0, dt, dt * dt / 2.0],
                       [0.0, 1.0, dt],
@@ -184,7 +186,6 @@ def make_filter(variant, params, dt):
             K = np.array([[p["alpha"], 0.0],
                           [0.0, p["beta"]],
                           [0.0, p["theta"] / dt]])
-        labels = ("phi", "phi_dot", "phi_ddot")
     elif variant == COMPLEMENTARY:
         T_c = p["T_c"]
         if not dt + T_c > 0:
@@ -195,17 +196,17 @@ def make_filter(variant, params, dt):
         B = np.array([[dt / den, T_c * dt / den]])
         C = np.zeros((1, 1))
         K = np.zeros((1, 1))
-        labels = ("phi",)
-        return FilterSpec(variant, A, B, C, K, dt, p, labels, current_input=True)
-    else:  # kalman variants share the wb structure; K is produced per step
-        if p["q1"] < 0 or p["q2"] < 0 or p["r"] < 0:
-            raise FilterConfigError("q1, q2 and r must be >= 0")
+    else:  # wb, and the kalman variants whose K is produced per step
         A = np.array([[1.0, -dt], [0.0, 1.0]])
         B = np.array([[dt], [0.0]])
         C = np.array([[1.0, 0.0]])
-        return FilterSpec(variant, A, B, C, None, dt, p, ("phi", "bias"))
-
-    return FilterSpec(variant, A, B, C, K, dt, p, labels)
+        if variant == WB:
+            K = np.array([[p["alpha"]], [p["beta"]]])
+        elif p["q1"] < 0 or p["q2"] < 0 or p["r"] < 0:
+            raise FilterConfigError("q1, q2 and r must be >= 0")
+        else:
+            K = None
+    return FilterSpec(variant, A, B, C, K, dt, p)
 
 
 def filter_step(spec, state, u=None, y_bar=None):
@@ -255,11 +256,7 @@ def make_kalman_state(spec, phi0=0.0, rate_bias0=0.0, P0=None):
     q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
     Q = np.diag([q1 * spec.dt, q2])
     if P0 is None:
-        if "alpha0" in spec.params:
-            P0 = kalman_init_P(spec.params["alpha0"], spec.params.get("beta0", 0.0),
-                               Q, r, spec.dt)
-        else:
-            P0 = np.eye(2)
+        P0 = _initial_P(spec)
     return KalmanState(x_hat=np.array([phi0, rate_bias0], dtype=float),
                        P=np.asarray(P0, dtype=float).copy(), Q=Q, r=float(r))
 
@@ -319,6 +316,38 @@ def kalman_init_P(alpha, beta, Q, r, dt):
     if np.linalg.eigvalsh(P0)[0] < -1e-12 * max(1.0, p11, s):
         raise FilterDesignError("requested gains produced an indefinite P0")
     return P0
+
+
+def _initial_P(spec):
+    """P0 of a kalman spec: from :func:`kalman_init_P` when the spec carries
+    ``alpha0`` (``beta0`` defaulting to 0), else the identity."""
+    p, dt = spec.params, spec.dt
+    if "alpha0" in p:
+        return kalman_init_P(p["alpha0"], p.get("beta0", 0.0),
+                             np.diag([p["q1"] * dt, p["q2"]]), p["r"], dt)
+    return np.eye(2)
+
+
+def _kalman_gains(spec, P0):
+    """Yield the gains (k1, k2) of successive steps of the scalar covariance
+    recursion from ``P0``; they depend on (q1, q2, r, P0, dt) alone."""
+    q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
+    dt = spec.dt
+    q1dt = q1 * dt
+    p11, p12, p22 = float(P0[0, 0]), float(P0[0, 1]), float(P0[1, 1])
+    for step in count(1):
+        a11 = p11 - 2.0 * dt * p12 + dt * dt * p22 + q1dt
+        a12 = p12 - dt * p22
+        a22 = p22 + q2
+        s = a11 + r
+        if s == 0.0:
+            raise FilterDesignError(f"singular innovation covariance at step {step}")
+        k1 = a11 / s
+        k2 = a12 / s
+        p11 = (1.0 - k1) * a11
+        p12 = a12 * r / s  # equals both (1-k1)*a12 and a12 - k2*a11
+        p22 = a22 - k2 * a12
+        yield k1, k2
 
 
 def _eig_closed_form(M):
@@ -417,7 +446,7 @@ class StabilityReport:
 
 def _classify(magnitudes):
     m = max(magnitudes)
-    if m > 1.0 + _STABILITY_TOL:
+    if m > 1.0 + _STABILITY_TOL or not all(map(isfinite, magnitudes)):
         return "unstable"
     if m >= 1.0 - _STABILITY_TOL:
         return "marginal"
@@ -431,28 +460,9 @@ def steady_kalman_gain(spec, P0=None, tol=_RICCATI_TOL, max_iter=_RICCATI_MAX_IT
     like 1/k; the returned value is the numerically converged truncation
     (documented: change below ``tol`` or ``max_iter`` reached).
     """
-    q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
-    dt = spec.dt
-    if P0 is None:
-        if "alpha0" in spec.params:
-            P0 = kalman_init_P(spec.params["alpha0"], spec.params.get("beta0", 0.0),
-                               np.diag([q1 * dt, q2]), r, dt)
-        else:
-            P0 = np.eye(2)
-    p11, p12, p22 = float(P0[0, 0]), float(P0[0, 1]), float(P0[1, 1])
     k1 = k2 = float("inf")
-    for _ in range(max_iter):
-        a11 = p11 - 2.0 * dt * p12 + dt * dt * p22 + q1 * dt
-        a12 = p12 - dt * p22
-        a22 = p22 + q2
-        s = a11 + r
-        if s == 0.0:
-            raise FilterDesignError("singular innovation covariance during convergence")
-        nk1 = a11 / s
-        nk2 = a12 / s
-        p11 = (1.0 - nk1) * a11
-        p12 = a12 * r / s  # equals both (1-k1)*a12 and a12 - k2*a11
-        p22 = a22 - nk2 * a12
+    gains = _kalman_gains(spec, _initial_P(spec) if P0 is None else P0)
+    for nk1, nk2 in islice(gains, max_iter):
         if abs(nk1 - k1) < tol and abs(nk2 - k2) < tol:
             return nk1, nk2
         k1, k2 = nk1, nk2
@@ -466,34 +476,32 @@ def check_stability(spec, P0=None):
     converge the covariance recursion (see :func:`steady_kalman_gain`) and
     evaluate the error dynamics at that gain.
     """
+    K, gain = spec.K, None
     if spec.variant in KALMAN_VARIANTS:
-        k1, k2 = steady_kalman_gain(spec, P0=P0)
-        K = np.array([[k1], [k2]])
-        M = spec.A - K @ spec.C @ spec.A
-        eig = _eig_closed_form(M)
-        mags = tuple(abs(v) for v in eig)
-        return StabilityReport(eig, mags, _classify(mags), gain=(k1, k2))
-    M = spec.A - spec.K @ spec.C @ spec.A
-    eig = _eig_closed_form(M)
+        gain = steady_kalman_gain(spec, P0=P0)
+        K = np.array([[gain[0]], [gain[1]]])
+    eig = _eig_closed_form(spec.A - K @ spec.C @ spec.A)
     mags = tuple(abs(v) for v in eig)
-    return StabilityReport(eig, mags, _classify(mags))
+    return StabilityReport(eig, mags, _classify(mags), gain=gain)
 
 
 def default_initial_state(spec, first_sample):
     """Initial filter state: tilt and rate from the first corrected sample,
     acceleration and bias estimates zero."""
-    phi0 = first_sample.phi_bar
-    rate0 = first_sample.rate_bar
-    if spec.variant in (WOB, ABTG):
-        return FilterState(np.array([phi0, rate0]))
-    if spec.variant in (WA_A, WA_B):
-        return FilterState(np.array([phi0, rate0, 0.0]))
-    if spec.variant == COMPLEMENTARY:
-        return FilterState(np.array([phi0]))
-    # wb and the kalman variants estimate the residual bias of the already
-    # corrected rate, so it starts at zero; feeding raw rates with the
-    # calibrated bias as the start value gives the identical tilt stream.
-    return FilterState(np.array([phi0, 0.0]))
+    return FilterState(_default_x0(spec, first_sample.phi_bar, first_sample.rate_bar))
+
+
+def corrected_arrays(corrected):
+    """(phi_bar, rate_bar) float arrays of a corrected stream given as a
+    sequence of CorrectedSample or as a (phi_bar, rate_bar) array pair."""
+    if (isinstance(corrected, tuple) and len(corrected) == 2
+            and not hasattr(corrected[0], "phi_bar")):
+        return (np.asarray(corrected[0], dtype=float),
+                np.asarray(corrected[1], dtype=float))
+    n = len(corrected)
+    phi = np.fromiter((c.phi_bar for c in corrected), dtype=float, count=n)
+    rate = np.fromiter((c.rate_bar for c in corrected), dtype=float, count=n)
+    return phi, rate
 
 
 def run_filter(spec, corrected, initial=None):
@@ -504,11 +512,7 @@ def run_filter(spec, corrected, initial=None):
     hot); they are algebraically identical to iterating
     :func:`filter_step` / :func:`kalman_step`.
     """
-    n = len(corrected)
-    if n == 0:
-        raise ParameterError("corrected stream is empty")
-    phi = np.fromiter((c.phi_bar for c in corrected), dtype=float, count=n)
-    rate = np.fromiter((c.rate_bar for c in corrected), dtype=float, count=n)
+    phi, rate = corrected_arrays(corrected)
     return run_filter_arrays(spec, phi, rate, initial)
 
 
@@ -593,37 +597,23 @@ def _default_x0(spec, phi0, rate0):
         return np.array([phi0, rate0, 0.0])
     if spec.variant == COMPLEMENTARY:
         return np.array([phi0])
+    # wb and the kalman variants estimate the residual bias of the already
+    # corrected rate, so it starts at zero; feeding raw rates with the
+    # calibrated bias as the start value gives the identical tilt stream.
     return np.array([phi0, 0.0])
 
 
 def _run_kalman(spec, phi_bar, rate_bar, x0, out):
-    q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
     dt = spec.dt
-    if "alpha0" in spec.params:
-        P0 = kalman_init_P(spec.params["alpha0"], spec.params.get("beta0", 0.0),
-                           np.diag([q1 * dt, q2]), r, dt)
-        p11, p12, p22 = float(P0[0, 0]), float(P0[0, 1]), float(P0[1, 1])
-    else:
-        p11, p12, p22 = 1.0, 0.0, 1.0
-    q1dt = q1 * dt
     x1, x2 = float(x0[0]), float(x0[1])
-    n = len(phi_bar)
-    for k in range(1, n):
-        # predict
-        x1p = x1 - dt * x2 + dt * rate_bar[k - 1]
-        a11 = p11 - 2.0 * dt * p12 + dt * dt * p22 + q1dt
-        a12 = p12 - dt * p22
-        a22 = p22 + q2
-        s = a11 + r
-        if s == 0.0:
-            raise FilterDesignError(f"singular innovation covariance at sample {k}")
-        k1 = a11 / s
-        k2 = a12 / s
-        resid = phi_bar[k] - x1p
+    phi = np.asarray(phi_bar, dtype=float)
+    rate = np.asarray(rate_bar, dtype=float)
+    # data first, so that no gain is drawn past the last sample
+    samples = zip(range(1, len(phi)), phi[1:].tolist(), rate[:-1].tolist())
+    for (k, y, u), (k1, k2) in zip(samples, _kalman_gains(spec, _initial_P(spec))):
+        x1p = x1 - dt * x2 + dt * u
+        resid = y - x1p
         x1 = x1p + k1 * resid
         x2 = x2 + k2 * resid
-        p11 = (1.0 - k1) * a11
-        p12 = a12 * r / s
-        p22 = a22 - k2 * a12
         out[k] = x1
     return out

@@ -29,8 +29,10 @@ from .errors import (
 )
 from .filters import (
     KALMAN_VARIANTS,
+    PARAMS,
     canonical_variant,
     check_stability,
+    corrected_arrays,
     make_filter,
     run_filter_arrays,
 )
@@ -276,17 +278,7 @@ class TuningResult:
             raise ParameterError("training_mse cannot be negative")
 
 
-PARAM_ORDER = {
-    "wob": ("alpha", "beta"),
-    "wb": ("alpha", "beta"),
-    "abtg": ("alpha", "beta", "theta", "gamma"),
-    "wa_a": ("alpha", "beta", "theta"),
-    "wa_b": ("alpha", "beta", "theta"),
-    "complementary": ("T_c",),
-    "kalman": ("q1", "q2", "r"),
-    "kalman_star": ("q1", "q2", "r"),
-}
-
+# Seed of each variant's search, in filters.PARAMS order.
 _DEFAULT_X0 = {
     "wob": (0.1, 0.1),
     "wb": (0.01, -0.0001),
@@ -314,12 +306,12 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
     (corrected, ref_phi) set evaluated once at the tuned parameters.
     """
     variant = canonical_variant(variant)
-    phi_bar, rate_bar = _stream_arrays(corrected)
+    phi_bar, rate_bar = corrected_arrays(corrected)
     ref = np.asarray(ref_phi, dtype=float)
     if len(ref) != len(phi_bar):
         raise ParameterError("stream and reference must have equal length")
 
-    names = PARAM_ORDER[variant]
+    names = PARAMS[variant]
     is_kalman = variant in KALMAN_VARIANTS
 
     def params_from_vector(vec):
@@ -370,17 +362,7 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
                           converged=opt.converged, stability_report=report)
     if verification is not None:
         v_stream, v_ref = verification
-        v_phi, v_rate = _stream_arrays(v_stream)
+        v_phi, v_rate = corrected_arrays(v_stream)
         est = run_filter_arrays(spec, v_phi, v_rate)
         result.verification_mse = mse(np.asarray(v_ref, dtype=float), est)
     return result
-
-
-def _stream_arrays(corrected):
-    if isinstance(corrected, tuple) and len(corrected) == 2:
-        return (np.asarray(corrected[0], dtype=float),
-                np.asarray(corrected[1], dtype=float))
-    n = len(corrected)
-    phi = np.fromiter((c.phi_bar for c in corrected), dtype=float, count=n)
-    rate = np.fromiter((c.rate_bar for c in corrected), dtype=float, count=n)
-    return phi, rate

@@ -190,6 +190,10 @@ class TestMakeReport:
         with open(tmp_path / "results.csv", newline="") as fh:
             reader = csv.DictReader(fh)
             back = list(reader)
+        assert reader.fieldnames == [
+            "variant", "dt_ms", "alpha", "beta", "theta", "gamma", "T_c", "q1", "q2",
+            "r", "mse_training", "mse_verification", "stability", "max_eig_magnitude",
+            "iterations", "converged"]
         assert len(back) == len(report.rows)
         for orig, parsed in zip(report.rows, back):
             for key, value in orig.items():

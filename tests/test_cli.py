@@ -3,7 +3,9 @@ import pytest
 
 from tiltkit import reference as ref
 from tiltkit.cli import accumulate_reference, main
+from tiltkit.cli import EXIT_CONTRACT
 from tiltkit.config import RunConfig, load_config, parse_config_text
+from tiltkit.filters import PARAMS
 from tiltkit.errors import ParseError
 from tiltkit.logio import read_columns, write_log, RawLog
 
@@ -45,6 +47,13 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(ParseError):
             parse_config_text("dt_ms=ten\nN_drive=100\n")
+
+    @pytest.mark.parametrize("variant", PARAMS)
+    def test_filter_params_in_registry_order(self, variant):
+        # cmd_tune seeds the search with these values in dict order
+        values = {name: 0.5 for names in PARAMS.values() for name in names}
+        cfg = RunConfig(dt_ms=10.0, N_drive=1024, variant=variant, **values)
+        assert tuple(cfg.filter_params()) == PARAMS[variant]
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -116,6 +125,17 @@ class TestCommands:
         assert code == 4
         err = capsys.readouterr().err
         assert "0.02" in err and "0.01" in err
+
+    def test_run_non_finite_gain_exit_4(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        nan_path, _ = write_config(tmp_path, name="nan.cfg", alpha=float("nan"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(nan_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv")]) == EXIT_CONTRACT
+        assert "alpha=nan" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ class TestMakeFilter:
     def test_complementary_requires_contractive(self):
         with pytest.raises(FilterConfigError):
             F.make_filter("complementary", {"T_c": -0.01}, 0.002)
+
+    @pytest.mark.parametrize("variant", F.ALL_VARIANTS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, variant, bad):
+        valid = {row.variant: row.params for row in ref.FILTER_TUNINGS
+                 if row.dt_ms == 2.0}[variant]
+        names = F.PARAMS[variant]
+        if variant in F.KALMAN_VARIANTS:
+            valid = {**valid, "alpha0": 0.00185, "beta0": -0.00018}
+            names += ("alpha0", "beta0")
+        F.make_filter(variant, valid, 0.002)
+        for name in names:
+            with pytest.raises(FilterConfigError) as exc:
+                F.make_filter(variant, {**valid, name: bad}, 0.002)
+            assert f"{name}={bad!r}" in str(exc.value)
 
 
 class TestFilterStep:
@@ -267,6 +284,15 @@ class TestStability:
         assert rep.marginal and not rep.stable
         assert rep.max_magnitude == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_finite_gain_classified_unstable(self):
+        # built by hand: make_filter refuses the NaN gain itself
+        good = F.make_filter("wb", {"alpha": 0.00185, "beta": -0.00018}, 0.002)
+        spec = F.FilterSpec("wb", good.A, good.B, good.C,
+                            np.array([[float("nan")], [-0.00018]]), 0.002)
+        rep = F.check_stability(spec)
+        assert rep.classification == "unstable"
+        assert not rep.stable and not rep.marginal
+
     def test_closed_form_matches_numpy(self):
         rng = np.random.default_rng(9)
         for _ in range(300):
@@ -376,6 +402,13 @@ class TestRunFilter:
             ks = F.kalman_step(ks, rate[k - 1], phi[k], dt)
             slow.append(ks.x_hat[0])
         assert np.max(np.abs(fast - np.array(slow))) < 1e-10
+
+    def test_two_sample_tuple_is_a_stream_not_an_array_pair(self):
+        spec = F.make_filter("wb", {"alpha": 0.1, "beta": 0.0}, 0.01)
+        stream = (SimpleNamespace(phi_bar=1.0, rate_bar=2.0),
+                  SimpleNamespace(phi_bar=3.0, rate_bar=4.0))
+        est = F.run_filter(spec, stream)
+        assert np.array_equal(est, F.run_filter_arrays(spec, [1.0, 3.0], [2.0, 4.0]))
 
     def test_empty_stream_rejected(self):
         spec = F.make_filter("wb", {"alpha": 0.1, "beta": 0.0}, 0.01)

@@ -7,9 +7,10 @@ from conftest import rig_params, simulate_rig
 from tiltkit import reference as ref
 from tiltkit.correction import run_correction_arrays, scale_factor
 from tiltkit.errors import OptimizationFailure, ParameterError
-from tiltkit.filters import make_filter, run_filter_arrays
+from tiltkit.filters import PARAMS, make_filter, run_filter_arrays
 from tiltkit.analysis import mse
 from tiltkit.tuning import (
+    _DEFAULT_X0,
     OptimizerConfig,
     TuningResult,
     estimate_static_bias,
@@ -276,6 +277,12 @@ class TestTuneFilter:
                               initial_scale=1e-6, tol_f=1e-9, tol_x=1e-7)
         with pytest.raises(OptimizationFailure):
             tune_filter("wob", stream, ref_phi, 0.01, cfg, x0=[-5.0, -5.0])
+
+    def test_default_seeds_cover_registry(self):
+        # the one per-variant table kept outside filters must follow PARAMS
+        assert _DEFAULT_X0.keys() == PARAMS.keys()
+        for variant, names in PARAMS.items():
+            assert len(_DEFAULT_X0[variant]) == len(names), variant
 
     def test_negative_training_mse_rejected(self):
         with pytest.raises(ParameterError):
