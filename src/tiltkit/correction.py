@@ -6,18 +6,29 @@ mounted off the wheel axis (centrifugal, angular-acceleration and
 translational terms, the latter reconstructed from the drive encoder), and
 produces the corrected tilt ``phi_bar`` and corrected rate ``rate_bar``.
 
-Angle convention: degrees end to end.  Radians appear only inside
-:func:`motion_accelerations`, where the rate is converted with pi/180
-before the centrifugal and angular-acceleration terms are formed.
+Angle convention: degrees end to end.  Radians appear only inside the
+motion terms, converted with pi/180.
+
+Each formula is written once, in a scalar helper.  :func:`correct_columns`
+is the whole-log kernel: its elementwise stages call the helpers on
+float64 columns, the two low-pass recurrences iterate :func:`lowpass_step`
+over plain floats, and one sequential loop is left for the tilt feedback,
+whose translational projection uses the previous corrected tilt.  The
+simulator shares its motion pre-pass, :func:`motion_columns`.
+:func:`correction_pipeline_step` is the one-sample streaming reference;
+the kernel returns its values bit for bit.
 
 The per-sample state machine is strictly causal and single-owner: one
 :class:`CorrectionState` belongs to one stream.  Separate streams can be
 processed concurrently with independent states.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from math import atan2, cos, degrees, pi, sin
-from typing import Optional
+
+import numpy as np
 
 from .errors import DegenerateTiltError, ParameterError
 
@@ -85,6 +96,10 @@ class CorrectedSample:
     enc_missing: bool = False    # encoder count was absent, zero assumed
 
 
+# What correct_columns returns: one ndarray per CorrectedSample field but enc_missing.
+CorrectedColumns = namedtuple("CorrectedColumns", [f.name for f in fields(CorrectedSample)][:-1])
+
+
 def correct_gyro(rate_meas, gyro_bias):
     """Remove the constant gyro bias: measured rate minus bias, deg/s."""
     return rate_meas - gyro_bias
@@ -136,20 +151,40 @@ def encoder_velocity(n, N, R_w, dt):
     return 2.0 * pi * R_w * n / (N * dt)
 
 
+def _to_rad(deg):
+    return deg * pi / 180.0  # not math.radians, which rounds differently
+
+
+def angular_terms(rate_r, rate_f, prev_rate_f, params):
+    """Centrifugal term of the rate ``rate_r`` (rad/s) and angular-acceleration
+    term from its low-pass output ``rate_f`` after ``prev_rate_f``: ``(a_c, a_e)``."""
+    return rate_r * rate_r * params.R, discrete_derivative(rate_f, prev_rate_f, params.dt) * params.R
+
+
 def motion_accelerations(rate_bar, state, params):
     """Centrifugal and angular-acceleration terms for the current rate.
 
     Returns ``(a_c, a_e, rate_filtered)`` where ``rate_filtered`` (rad/s) is
-    the new low-pass output to be stored for the next step.  The centrifugal
-    term uses the unfiltered converted rate; the low-pass only feeds the
-    derivative that forms the angular-acceleration term.
+    the new low-pass output to be stored for the next step.
     """
-    rate_r = rate_bar * pi / 180.0
+    rate_r = _to_rad(rate_bar)
     rate_f = lowpass_step(rate_r, state.prev_rate_filtered, params.T_omega, params.dt)
-    omega_dot = discrete_derivative(rate_f, state.prev_rate_filtered, params.dt)
-    a_c = rate_r * rate_r * params.R
-    a_e = omega_dot * params.R
+    a_c, a_e = angular_terms(rate_r, rate_f, state.prev_rate_filtered, params)
     return a_c, a_e, rate_f
+
+
+def project_translational(a_t, prev_phi_bar):
+    """Projections ``(a_t_x, a_t_y)`` of a_t on the previous corrected tilt (degrees)."""
+    prev_rad = _to_rad(prev_phi_bar)
+    return a_t * cos(prev_rad), a_t * sin(prev_rad)
+
+
+def raw_arctan_tilt(acc_x, acc_y):
+    """Uncompensated tilt straight from the accelerometer pair, degrees."""
+    phi = degrees(atan2(acc_x, acc_y))
+    if phi <= -180.0:
+        phi += 360.0
+    return phi
 
 
 def corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y):
@@ -164,35 +199,28 @@ def corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y):
     den = ay_bar + a_c - a_t_y
     if num == 0.0 and den == 0.0:
         raise DegenerateTiltError("both arctangent arguments are zero")
-    phi = degrees(atan2(num, den))
-    if phi <= -180.0:
-        phi += 360.0
-    return phi
+    return raw_arctan_tilt(num, den)
+
+
+def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
+    """``(phi_bar, degenerate)``: :func:`corrected_tilt`, or ``prev_phi_bar`` where undefined."""
+    try:
+        return corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y), False
+    except DegenerateTiltError:
+        return prev_phi_bar, True
 
 
 def motion_terms(rate_bar, enc_count, state, params):
     """All motion-interference terms for one initialised step.
 
     Returns ``(a_c, a_e, a_t, a_t_x, a_t_y, rate_filtered, v_filtered)``.
-    Shared by :func:`correction_pipeline_step` and by the simulator's shadow
-    chain so that both reconstruct byte-identical interference.
     """
     v_t = encoder_velocity(enc_count, params.N_drive, params.R_w, params.dt)
     v_f = lowpass_step(v_t, state.prev_v_filtered, params.T_v, params.dt)
     a_t = discrete_derivative(v_f, state.prev_v_filtered, params.dt)
-    prev_rad = state.prev_phi_bar * pi / 180.0
-    a_t_x = a_t * cos(prev_rad)
-    a_t_y = a_t * sin(prev_rad)
+    a_t_x, a_t_y = project_translational(a_t, state.prev_phi_bar)
     a_c, a_e, rate_f = motion_accelerations(rate_bar, state, params)
     return a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f
-
-
-def raw_arctan_tilt(acc_x, acc_y):
-    """Uncompensated tilt straight from the accelerometer pair, degrees."""
-    phi = degrees(atan2(acc_x, acc_y))
-    if phi <= -180.0:
-        phi += 360.0
-    return phi
 
 
 def correction_pipeline_step(raw, params, state):
@@ -208,24 +236,18 @@ def correction_pipeline_step(raw, params, state):
     ay_bar = correct_accel(raw.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
 
     if not state.initialized:
-        rate_f = rate_bar * pi / 180.0
         phi0 = raw_arctan_tilt(raw.acc_x_mps2, raw.acc_y_mps2)
         out = CorrectedSample(phi_bar=phi0, rate_bar=rate_bar,
                               enc_missing=getattr(raw, "enc_missing", False))
-        new_state = CorrectionState(prev_phi_bar=phi0, prev_rate_filtered=rate_f,
+        new_state = CorrectionState(prev_phi_bar=phi0, prev_rate_filtered=_to_rad(rate_bar),
                                     prev_v_filtered=0.0, initialized=True)
         return out, new_state
 
     enc_missing = bool(getattr(raw, "enc_missing", False))
     n = 0 if enc_missing else raw.enc_count
     a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
-
-    degenerate = False
-    try:
-        phi_bar = corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y)
-    except DegenerateTiltError:
-        phi_bar = state.prev_phi_bar
-        degenerate = True
+    phi_bar, degenerate = tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y,
+                                           state.prev_phi_bar)
 
     out = CorrectedSample(phi_bar=phi_bar, rate_bar=rate_bar, a_c=a_c, a_e=a_e,
                           a_t=a_t, a_t_x=a_t_x, a_t_y=a_t_y,
@@ -235,79 +257,64 @@ def correction_pipeline_step(raw, params, state):
     return out, new_state
 
 
-def run_correction(log, params, state: Optional[CorrectionState] = None):
-    """Run the pipeline over a whole log, returning a list of CorrectedSample."""
-    if state is None:
-        state = CorrectionState()
-    out = []
-    for raw in log:
-        cs, state = correction_pipeline_step(raw, params, state)
-        out.append(cs)
-    return out
+def _lowpass_column(x, y0, T, dt):
+    """:func:`lowpass_step` along float64 column ``x``, output ``y0`` at sample 0."""
+    steps = accumulate(memoryview(x)[1:], lambda y, xk: lowpass_step(xk, y, T, dt),
+                       initial=y0)
+    return np.fromiter(steps, dtype=float, count=len(x))
+
+
+def motion_columns(rate_bar, pulses, params):
+    """The kernel's motion pre-pass: ``(a_c, a_e, a_t)`` float64 columns.
+
+    Takes the corrected rate (deg/s, at least one sample) and the encoder
+    counts with missing samples zeroed.  Sample 0 initialises the low-passes
+    (rate from the first rate, velocity from zero) and holds zeros.
+    """
+    dt = params.dt
+    a_c, a_e, a_t = np.zeros((3, len(rate_bar)))
+    rate_r = _to_rad(rate_bar)
+    rate_f = _lowpass_column(rate_r, float(rate_r[0]), params.T_omega, dt)
+    a_c[1:], a_e[1:] = angular_terms(rate_r[1:], rate_f[1:], rate_f[:-1], params)
+    del rate_r, rate_f  # keeps the peak memory of long logs down
+    v_f = _lowpass_column(encoder_velocity(pulses, params.N_drive, params.R_w, dt), 0.0,
+                          params.T_v, dt)
+    a_t[1:] = discrete_derivative(v_f[1:], v_f[:-1], dt)
+    return a_c, a_e, a_t
+
+
+def correct_columns(log, params):
+    """Whole-log correction kernel; returns ``CorrectedColumns``.  ``log``
+    needs array attributes like :class:`tiltkit.logio.RawLog`."""
+    rate_bar = correct_gyro(log.gyro_dps, params.gyro_bias)
+    n = len(rate_bar)
+    if n == 0:
+        return CorrectedColumns(*np.empty((7, 0)), np.empty(0, dtype=bool))
+    ax_bar = correct_accel(log.acc_x_mps2, params.accel_bias_x, params.scale_poly_x)
+    ay_bar = correct_accel(log.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
+    a_c, a_e, a_t = motion_columns(rate_bar, np.where(log.enc_missing, 0, log.enc_count),
+                                   params)
+
+    phi_bar, a_t_x, a_t_y = np.zeros((3, n))
+    degenerate = np.zeros(n, dtype=bool)
+    phi = phi_bar[0] = raw_arctan_tilt(log.acc_x_mps2[0], log.acc_y_mps2[0])
+    # Tilt feedback over memoryviews, which hand out and take plain floats.
+    phi_out, tx_out, ty_out, deg_out = map(memoryview, (phi_bar, a_t_x, a_t_y, degenerate))
+    inputs = zip(*(memoryview(col)[1:] for col in (ax_bar, ay_bar, a_e, a_c, a_t)))
+    for k, (ax, ay, e, c, t) in enumerate(inputs, start=1):
+        tx, ty = project_translational(t, phi)
+        phi, deg_out[k] = tilt_or_previous(ax, ay, e, c, tx, ty, phi)
+        phi_out[k], tx_out[k], ty_out[k] = phi, tx, ty
+    return CorrectedColumns(phi_bar, rate_bar, a_c, a_e, a_t, a_t_x, a_t_y, degenerate)
+
+
+def run_correction(log, params):
+    """Correct a whole log, returning a list of :class:`CorrectedSample`."""
+    columns = [c.tolist() for c in correct_columns(log, params)]
+    return [CorrectedSample(*row) for row in zip(*columns, log.enc_missing.tolist())]
 
 
 def run_correction_arrays(log, params):
-    """Fast whole-log correction; returns ``(phi_bar, rate_bar)`` ndarrays.
-
-    Arithmetic is step-for-step identical to :func:`correction_pipeline_step`
-    (same helpers, same order); this path just skips the per-sample objects,
-    which matters inside tuning loops.  ``log`` needs array attributes like
-    :class:`tiltkit.logio.RawLog`.
-    """
-    import numpy as np
-
-    gyro = log.gyro_dps
-    acc_x = log.acc_x_mps2
-    acc_y = log.acc_y_mps2
-    enc = log.enc_count
-    enc_missing = log.enc_missing
-    n = len(gyro)
-    if n == 0:
-        return np.empty(0), np.empty(0)
-
-    phi_out = np.empty(n)
-    rate_out = np.empty(n)
-
-    dt = params.dt
-    bias = params.gyro_bias
-    bx, by = params.accel_bias_x, params.accel_bias_y
-    poly_x, poly_y = params.scale_poly_x, params.scale_poly_y
-
-    rate_bar = gyro[0] - bias
-    prev_phi = raw_arctan_tilt(acc_x[0], acc_y[0])
-    prev_rf = rate_bar * pi / 180.0
-    prev_vf = 0.0
-    phi_out[0] = prev_phi
-    rate_out[0] = rate_bar
-
-    for k in range(1, n):
-        rate_bar = correct_gyro(gyro[k], bias)
-        ax_bar = correct_accel(acc_x[k], bx, poly_x)
-        ay_bar = correct_accel(acc_y[k], by, poly_y)
-
-        n_pulses = 0 if enc_missing[k] else enc[k]
-        v_t = encoder_velocity(n_pulses, params.N_drive, params.R_w, dt)
-        v_f = lowpass_step(v_t, prev_vf, params.T_v, dt)
-        a_t = discrete_derivative(v_f, prev_vf, dt)
-        prev_rad = prev_phi * pi / 180.0
-        a_t_x = a_t * cos(prev_rad)
-        a_t_y = a_t * sin(prev_rad)
-
-        rate_r = rate_bar * pi / 180.0
-        rate_f = lowpass_step(rate_r, prev_rf, params.T_omega, dt)
-        omega_dot = discrete_derivative(rate_f, prev_rf, dt)
-        a_c = rate_r * rate_r * params.R
-        a_e = omega_dot * params.R
-
-        try:
-            phi = corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y)
-        except DegenerateTiltError:
-            phi = prev_phi
-
-        phi_out[k] = phi
-        rate_out[k] = rate_bar
-        prev_phi = phi
-        prev_rf = rate_f
-        prev_vf = v_f
-
-    return phi_out, rate_out
+    """Whole-log correction; returns the ``(phi_bar, rate_bar)`` columns of
+    :func:`correct_columns`, the values of :func:`run_correction`."""
+    return correct_columns(log, params)[:2]

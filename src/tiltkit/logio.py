@@ -16,6 +16,7 @@ Floats are written with ``repr`` so a written file re-parses bit-exactly.
 
 from array import array
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 import csv
@@ -132,9 +133,12 @@ def _int_field(text, line_no, column):
 
 def _float_field(text, line_no, column):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"expected a number, got {text!r}", line=line_no, column=column) from None
+    if not isfinite(value):
+        raise ParseError(f"expected a finite number, got {text!r}", line=line_no, column=column)
+    return value
 
 
 def parse_log(path):
@@ -142,8 +146,8 @@ def parse_log(path):
 
     Rows are streamed into growable primitive arrays, so memory stays
     proportional to the column data and never to per-row Python objects.
-    Raises :class:`ParseError` with the offending line number for malformed
-    rows and :class:`OrderingError` if timestamps do not strictly increase.
+    Raises :class:`ParseError` (line and column) for malformed rows and
+    non-finite numbers, :class:`OrderingError` if timestamps do not strictly increase.
     """
     t = array("d")
     gyro = array("d")

@@ -7,32 +7,37 @@ interference (bias, scale-factor polynomial, white noise, saturation,
 encoder quantisation).
 
 Invertibility contract: the accelerometer channels embed exactly the
-motion-induced interference that the correction chain will reconstruct,
-obtained from a shadow copy of the chain itself (same initialisation, same
-low-pass filters and backward differences, same quantised encoder
-velocity, projections on the chain's own previous tilt).  Correcting a
-noise-free log with matching parameters therefore recovers the true tilt
-to floating-point precision when the scale polynomials are zero, and up to
-the small scale-factor inversion residual otherwise.  The contract assumes
-no sample hits the saturation clamp.
+motion-induced interference that the correction chain will reconstruct.
+The shadow chain is the correction kernel's own motion pre-pass
+(:func:`tiltkit.correction.motion_columns`) on the generated gyro and
+encoder columns, plus a shadow tilt advanced with the chain's projection
+and tilt helpers.  Correcting a noise-free log with matching parameters
+therefore recovers the true tilt to floating-point precision when the
+scale polynomials are zero, and up to the small scale-factor inversion
+residual otherwise.  The contract assumes no sample hits the clamp.
 
 Randomness comes from ``numpy.random.Generator`` (PCG64 via
-``default_rng(seed)``); per sample the draw order is gyro, accel x', then
-accel y', and a channel with zero noise draws nothing.  Identical
+``default_rng(seed)``).  Noise is drawn in one ``standard_normal((n, k))``
+call, one row per sample in the order gyro, accel x', accel y', where a
+channel with zero noise draws nothing; this is the stream of per-sample
+``normal(0, std)`` draws in that order.  Identical
 (profile, models, seed) inputs reproduce logs bit for bit.  Everything
 here is a pure function over value types; one run is single-threaded, and
 independent runs (distinct seeds) can execute concurrently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import cos, floor, isfinite, pi, radians, sin
 from typing import Callable
 
 import numpy as np
 
-from .correction import CorrectionState, correction_pipeline_step, motion_terms
+from .correction import (correct_accel, correct_gyro, motion_columns, project_translational,
+                         raw_arctan_tilt, scale_factor, tilt_or_previous)
+# Unused here; kept importable because per-module tracers patch them on model.
+from .correction import correction_pipeline_step, motion_terms  # noqa: F401
 from .errors import ParameterError, SimulationError
-from .logio import RawLog, RawSample, TruthLog
+from .logio import RawLog, TruthLog
 from .reference import ACCEL_SATURATION_MPS2, GRAVITY, GYRO_SATURATION_DPS
 
 
@@ -208,10 +213,13 @@ def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
 def _corrupt_accel_axis(a_true, bias, poly, noise, saturation):
     # Forward scale-factor distortion evaluates the polynomial at the true
     # component; the correction side evaluates it at measurement - bias.
-    acc = 0.0
-    for c in reversed(poly):
-        acc = acc * a_true + c
-    return _clamp(a_true + acc * a_true + bias + noise, saturation)
+    return _clamp(a_true + scale_factor(a_true, poly) + bias + noise, saturation)
+
+
+def _corrupt_accel_pair(phi_deg, a_e, a_c, a_t_x, a_t_y, model, nx, ny):
+    ax_true, ay_true = true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y)
+    return (_corrupt_accel_axis(ax_true, model.bias_x, model.scale_poly_x, nx, model.saturation),
+            _corrupt_accel_axis(ay_true, model.bias_y, model.scale_poly_y, ny, model.saturation))
 
 
 def synthesize_accel(state, model, params, rng):
@@ -228,12 +236,9 @@ def synthesize_accel(state, model, params, rng):
     phi_r = radians(state.phi)
     a_t_x = state.a_t * cos(phi_r)
     a_t_y = state.a_t * sin(phi_r)
-    ax_true, ay_true = true_accel_components(state.phi, a_e, a_c, a_t_x, a_t_y)
     nx = rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
     ny = rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
-    ax = _corrupt_accel_axis(ax_true, model.bias_x, model.scale_poly_x, nx, model.saturation)
-    ay = _corrupt_accel_axis(ay_true, model.bias_y, model.scale_poly_y, ny, model.saturation)
-    return ax, ay
+    return _corrupt_accel_pair(state.phi, a_e, a_c, a_t_x, a_t_y, model, nx, ny)
 
 
 def simulate_run(profile, gyro, accel, params, seed):
@@ -241,10 +246,10 @@ def simulate_run(profile, gyro, accel, params, seed):
 
     Encoder counts are the integer part of the accumulated fractional pulse
     count implied by wheel travel, with the residual carried to the next
-    sample so no pulse is ever lost.  The accelerometer interference terms
-    are produced by a shadow instance of the correction pipeline running on
-    the measurements as they are generated; the first sample embeds no
-    motion terms, mirroring the pipeline's raw-arctangent initialisation.
+    sample so no pulse is ever lost.  The truth and the encoder advance
+    first, then the gyro column; the accelerometer loop embeds the motion
+    pre-pass terms and the projection on the shadow tilt.  The first sample
+    embeds no motion terms, mirroring the chain's raw-arctangent start.
     """
     dt = profile.dt
     n = profile.n_samples
@@ -253,85 +258,69 @@ def simulate_run(profile, gyro, accel, params, seed):
     state = RobotState(phi=profile.phi0, phi_dot=profile.phi_dot0,
                        phi_ddot=profile.phi_ddot_fn(0.0), a_t=profile.a_t_fn(0.0))
 
-    t_arr = np.empty(n)
-    phi_arr = np.empty(n)
-    phi_dot_arr = np.empty(n)
-    phi_ddot_arr = np.empty(n)
-    x_arr = np.empty(n)
-    v_arr = np.empty(n)
-    a_t_arr = np.empty(n)
-    gyro_arr = np.empty(n)
-    acc_x_arr = np.empty(n)
-    acc_y_arr = np.empty(n)
+    # Truth columns in TruthLog order after t: phi, phi_dot, phi_ddot, x, v, a_t.
+    truth_cols = np.empty((6, n))
+    acc_x_arr, acc_y_arr = np.empty((2, n))
     enc_arr = np.empty(n, dtype=np.int64)
 
     pulses_per_m = params.N_drive / (2.0 * pi * params.R_w)
     pulse_residual = 0.0
     prev_x = state.x_pos
 
-    shadow = CorrectionState()
-
     for k in range(n):
         if not state.is_finite():
             raise SimulationError(k)
-        t = k * dt
-        t_arr[k] = t
-        phi_arr[k] = state.phi
-        phi_dot_arr[k] = state.phi_dot
-        phi_ddot_arr[k] = state.phi_ddot
-        x_arr[k] = state.x_pos
-        v_arr[k] = state.v_t
-        a_t_arr[k] = state.a_t
+        truth_cols[:, k] = (state.phi, state.phi_dot, state.phi_ddot,
+                            state.x_pos, state.v_t, state.a_t)
 
         # Encoder: quantise the wheel travel of the period ending at t_k.
-        if k == 0:
-            n_pulses = 0
-        else:
-            pulse_residual += (state.x_pos - prev_x) * pulses_per_m
-            n_pulses = floor(pulse_residual)
-            pulse_residual -= n_pulses
+        pulse_residual += (state.x_pos - prev_x) * pulses_per_m
+        n_pulses = floor(pulse_residual)
+        pulse_residual -= n_pulses
         prev_x = state.x_pos
         enc_arr[k] = n_pulses
 
-        gyro_meas = synthesize_gyro(state.phi_dot, gyro, rng)
-
-        # Interference terms exactly as the corrector will reconstruct them
-        # at this sample.  The first sample embeds nothing because the
-        # pipeline initialises from the raw arctangent.
-        if k == 0:
-            a_c = a_e = a_t_x = a_t_y = 0.0
-        else:
-            rate_bar = gyro_meas - params.gyro_bias
-            a_c, a_e, _a_t, a_t_x, a_t_y, _rf, _vf = motion_terms(
-                rate_bar, n_pulses, shadow, params)
-
-        ax_true, ay_true = true_accel_components(state.phi, a_e, a_c, a_t_x, a_t_y)
-        nx = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
-        ny = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
-        ax_meas = _corrupt_accel_axis(ax_true, accel.bias_x, accel.scale_poly_x,
-                                      nx, accel.saturation)
-        ay_meas = _corrupt_accel_axis(ay_true, accel.bias_y, accel.scale_poly_y,
-                                      ny, accel.saturation)
-
-        gyro_arr[k] = gyro_meas
-        acc_x_arr[k] = ax_meas
-        acc_y_arr[k] = ay_meas
-
-        # Advance the shadow by running the real pipeline on the sample just
-        # generated, so simulator and corrector share identical state.
-        raw = RawSample(t=t, gyro_dps=gyro_meas, acc_x_mps2=ax_meas,
-                        acc_y_mps2=ay_meas, enc_count=n_pulses)
-        _, shadow = correction_pipeline_step(raw, params, shadow)
-
         # Ground truth advances by the pure Euler step, then the profile
         # re-drives the accelerations for the next instant.
-        state = step_kinematics(state, dt)
         t_next = (k + 1) * dt
-        state = RobotState(phi=state.phi, phi_dot=state.phi_dot,
-                           phi_ddot=profile.phi_ddot_fn(t_next),
-                           x_pos=state.x_pos, v_t=state.v_t,
-                           a_t=profile.a_t_fn(t_next))
+        state = replace(step_kinematics(state, dt), phi_ddot=profile.phi_ddot_fn(t_next),
+                        a_t=profile.a_t_fn(t_next))
 
-    truth = TruthLog(t_arr, phi_arr, phi_dot_arr, phi_ddot_arr, x_arr, v_arr, a_t_arr)
+    # One bulk draw in the per-sample order gyro, x', y'; a channel with
+    # zero noise draws nothing.
+    stds = (gyro.noise_std, accel.noise_std, accel.noise_std)
+    draws = rng.standard_normal((n, sum(s > 0 for s in stds)))
+    draws *= [s for s in stds if s > 0]
+    live = iter(draws.T)
+    noise_g, noise_x, noise_y = (next(live) if s > 0 else np.zeros(n) for s in stds)
+
+    gyro_arr = truth_cols[1] + gyro.bias
+    if gyro.noise_std > 0:
+        gyro_arr += noise_g
+    np.clip(gyro_arr, -gyro.saturation, gyro.saturation, out=gyro_arr)
+
+    # Interference terms exactly as the corrector will reconstruct them.
+    a_c, a_e, a_t = motion_columns(correct_gyro(gyro_arr, params.gyro_bias), enc_arr, params)
+    # Memoryviews hand out and take plain floats, cheaper than ndarray items.
+    ax_out, ay_out = memoryview(acc_x_arr), memoryview(acc_y_arr)
+    columns = zip(*map(memoryview, (truth_cols[0], a_c, a_e, a_t, noise_x, noise_y)))
+    # a_t is zero at sample 0, so projecting on a previous tilt of 0 embeds
+    # exact zeros there.
+    phi_bar = 0.0
+    for k, (phi, a_c_k, a_e_k, a_t_k, nx, ny) in enumerate(columns):
+        a_t_x, a_t_y = project_translational(a_t_k, phi_bar)
+        ax, ay = _corrupt_accel_pair(phi, a_e_k, a_c_k, a_t_x, a_t_y, accel, nx, ny)
+        ax_out[k], ay_out[k] = ax, ay
+        # Advance the shadow tilt exactly as the corrector will.
+        if k == 0:
+            phi_bar = raw_arctan_tilt(ax, ay)
+        else:
+            phi_bar, _ = tilt_or_previous(
+                correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
+                correct_accel(ay, params.accel_bias_y, params.scale_poly_y),
+                a_e_k, a_c_k, a_t_x, a_t_y, phi_bar)
+
+    t_arr = np.arange(n) * dt
+    truth = TruthLog(t_arr, *truth_cols)
     log = RawLog(t_arr, gyro_arr, acc_x_arr, acc_y_arr, enc_arr)
     return truth, log

@@ -296,7 +296,7 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
     """Minimise estimate MSE over a variant's parameters.
 
     Fixed-gain variants search their named gains directly and reject
-    candidates whose error dynamics have an eigenvalue beyond 1 + 1e-9; the
+    candidates that :func:`check_stability` classifies ``unstable``; the
     kalman variants search (q1, q2, r) through a squared reparameterisation
     that keeps them nonnegative, optionally pinning the first gain to
     ``kalman_init_gains`` = (alpha0, beta0).
@@ -327,8 +327,7 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
         try:
             spec = make_filter(variant, p, dt)
             if not is_kalman:
-                report = check_stability(spec)
-                if report.max_magnitude > 1.0 + 1e-9:
+                if check_stability(spec).classification == "unstable":
                     return float("inf")
             est = run_filter_arrays(spec, phi_bar, rate_bar)
         except (ParameterError, FilterConfigError, FilterDesignError):

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 The two-phase functions write out each variant's predict/correct equations
-directly; the textbook Kalman filter is a plain matrix-form implementation.
-Both stay deliberately separate from the package code paths they check.
+directly; the textbook Kalman filter is a plain matrix-form implementation;
+the shadow simulator generates one sample at a time and runs the streaming
+correction step on each.  All stay deliberately separate from the package
+code paths they check.
 """
 
 import numpy as np
@@ -68,3 +70,85 @@ def textbook_kalman(phi_bar, rate_bar, dt, q1, q2, r, P0, x0):
     return out
 
 
+
+
+def shadow_simulate_run(profile, gyro, accel, params, seed):
+    """Per-sample reference simulator with a shadow correction pipeline.
+
+    Draws each sample's noise with ``rng.normal`` (gyro, x', y'), embeds the
+    interference from :func:`tiltkit.correction.motion_terms` on the shadow
+    state, and advances the shadow by running
+    :func:`tiltkit.correction.correction_pipeline_step` on every generated
+    sample.  ``simulate_run`` must return the same logs bit for bit.
+    """
+    from math import floor, pi
+
+    from tiltkit.correction import CorrectionState, correction_pipeline_step, motion_terms
+    from tiltkit.errors import SimulationError
+    from tiltkit.logio import RawLog, RawSample, TruthLog
+    from tiltkit.model import RobotState, step_kinematics, synthesize_gyro, true_accel_components
+
+    def corrupt(a_true, bias, poly, noise, saturation):
+        acc = 0.0
+        for c in reversed(poly):
+            acc = acc * a_true + c
+        return min(max(a_true + acc * a_true + bias + noise, -saturation), saturation)
+
+    dt = profile.dt
+    n = profile.n_samples
+    rng = np.random.default_rng(seed)
+    state = RobotState(phi=profile.phi0, phi_dot=profile.phi_dot0,
+                       phi_ddot=profile.phi_ddot_fn(0.0), a_t=profile.a_t_fn(0.0))
+    cols = {name: np.empty(n) for name in ("t", "phi", "phi_dot", "phi_ddot", "x", "v",
+                                           "a_t", "gyro", "acc_x", "acc_y")}
+    enc = np.empty(n, dtype=np.int64)
+    pulses_per_m = params.N_drive / (2.0 * pi * params.R_w)
+    pulse_residual = 0.0
+    prev_x = state.x_pos
+    shadow = CorrectionState()
+
+    for k in range(n):
+        if not state.is_finite():
+            raise SimulationError(k)
+        t = k * dt
+        for name, value in (("t", t), ("phi", state.phi), ("phi_dot", state.phi_dot),
+                            ("phi_ddot", state.phi_ddot), ("x", state.x_pos),
+                            ("v", state.v_t), ("a_t", state.a_t)):
+            cols[name][k] = value
+        if k == 0:
+            n_pulses = 0
+        else:
+            pulse_residual += (state.x_pos - prev_x) * pulses_per_m
+            n_pulses = floor(pulse_residual)
+            pulse_residual -= n_pulses
+        prev_x = state.x_pos
+        enc[k] = n_pulses
+
+        gyro_meas = synthesize_gyro(state.phi_dot, gyro, rng)
+        if k == 0:
+            a_c = a_e = a_t_x = a_t_y = 0.0
+        else:
+            a_c, a_e, _a_t, a_t_x, a_t_y, _rf, _vf = motion_terms(
+                gyro_meas - params.gyro_bias, n_pulses, shadow, params)
+        ax_true, ay_true = true_accel_components(state.phi, a_e, a_c, a_t_x, a_t_y)
+        nx = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
+        ny = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
+        ax_meas = corrupt(ax_true, accel.bias_x, accel.scale_poly_x, nx, accel.saturation)
+        ay_meas = corrupt(ay_true, accel.bias_y, accel.scale_poly_y, ny, accel.saturation)
+        cols["gyro"][k], cols["acc_x"][k], cols["acc_y"][k] = gyro_meas, ax_meas, ay_meas
+
+        raw = RawSample(t=t, gyro_dps=gyro_meas, acc_x_mps2=ax_meas,
+                        acc_y_mps2=ay_meas, enc_count=n_pulses)
+        _, shadow = correction_pipeline_step(raw, params, shadow)
+
+        state = step_kinematics(state, dt)
+        t_next = (k + 1) * dt
+        state = RobotState(phi=state.phi, phi_dot=state.phi_dot,
+                           phi_ddot=profile.phi_ddot_fn(t_next),
+                           x_pos=state.x_pos, v_t=state.v_t,
+                           a_t=profile.a_t_fn(t_next))
+
+    truth = TruthLog(cols["t"], cols["phi"], cols["phi_dot"], cols["phi_ddot"],
+                     cols["x"], cols["v"], cols["a_t"])
+    log = RawLog(cols["t"], cols["gyro"], cols["acc_x"], cols["acc_y"], enc)
+    return truth, log

@@ -148,6 +148,16 @@ class TestCommands:
         assert main(["run", "--config", str(cfg_path), "--log", str(bad),
                      "--out", str(tmp_path)]) == 3
 
+    def test_non_finite_log_exit_3(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
+                       "0,0,0,9.8,0,0\n0.01,inf,0,9.8,0,0\n")
+        assert main(["run", "--config", str(cfg_path), "--log", str(bad),
+                     "--out", str(tmp_path / "est")]) == 3
+        assert "line 3, column gyro_dps" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
+
     def test_calibrate_static(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         rng = np.random.default_rng(0)

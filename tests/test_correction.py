@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import rig_params, simulate_rig
 from tiltkit import reference as ref
 from tiltkit.correction import (
+    CorrectedSample,
     CorrectionParams,
     CorrectionState,
     correct_accel,
@@ -255,13 +257,78 @@ class TestPipeline:
         assert out1.degenerate
         assert out1.phi_bar == out0.phi_bar
 
-    def test_array_path_matches_object_path(self):
-        truth, log, params = simulate_rig(duration=3.0, gyro_noise=0.1,
-                                          accel_noise=0.05)
-        objects = run_correction(log, params)
+
+def _fold_pipeline(log, params):
+    """The streaming reference: correction_pipeline_step folded over a log."""
+    state = CorrectionState()
+    out = []
+    for raw in log:
+        sample, state = correction_pipeline_step(raw, params, state)
+        out.append(sample)
+    return out
+
+
+def _dynamic_log_with_missing_encoder():
+    truth, log, params = simulate_rig(duration=3.0, gyro_noise=0.1, accel_noise=0.05)
+    missing = [0, 17, 18, 120]
+    log.enc_missing[missing] = True
+    log.enc_count[missing] = 9          # stored counts must be ignored
+    log.acc_x_mps2[[60, 61]] = 0.0     # zero readings, corrected by the biases
+    log.acc_y_mps2[[60, 61]] = 0.0
+    return log, params
+
+
+def _static_log_with_degenerate_samples():
+    # zero-error rig standing still: no motion terms, so zeroing both
+    # accelerometer channels leaves both arctangent arguments at zero
+    params = rig_params(with_errors=False)
+    truth, log = simulate_run(zero_motion_profile(3.0, 0.01), GyroErrorModel(),
+                              AccelErrorModel(noise_std=0.05), params, 4)
+    degenerate = [40, 41, 150]
+    log.acc_x_mps2[degenerate] = 0.0
+    log.acc_y_mps2[degenerate] = 0.0
+    log.enc_missing[[41, 200]] = True
+    log.enc_count[[41, 200]] = 7
+    return log, params
+
+
+class TestKernelMatchesStreamingReference:
+    @pytest.fixture(params=["dynamic", "static"])
+    def case(self, request):
+        if request.param == "dynamic":
+            return _dynamic_log_with_missing_encoder()
+        return _static_log_with_degenerate_samples()
+
+    def test_every_field_of_run_correction(self, case):
+        log, params = case
+        expected = _fold_pipeline(log, params)
+        got = run_correction(log, params)
+        assert len(got) == len(expected) == len(log)
+        for f in dataclasses.fields(CorrectedSample):
+            # repr tells float from numpy scalar and 0.0 from -0.0
+            assert ([repr(getattr(c, f.name)) for c in got]
+                    == [repr(getattr(c, f.name)) for c in expected]), f.name
+        assert sum(c.enc_missing for c in got) == int(log.enc_missing.sum()) > 0
+
+    def test_both_arrays_of_run_correction_arrays(self, case):
+        log, params = case
+        expected = _fold_pipeline(log, params)
         phi_bar, rate_bar = run_correction_arrays(log, params)
-        assert np.array_equal(phi_bar, np.array([c.phi_bar for c in objects]))
-        assert np.array_equal(rate_bar, np.array([c.rate_bar for c in objects]))
+        assert phi_bar.tobytes() == np.array([c.phi_bar for c in expected]).tobytes()
+        assert rate_bar.tobytes() == np.array([c.rate_bar for c in expected]).tobytes()
+
+    def test_degenerate_samples_present(self):
+        log, params = _static_log_with_degenerate_samples()
+        flags = [k for k, c in enumerate(run_correction(log, params)) if c.degenerate]
+        assert flags == [40, 41, 150]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_logs(self, n):
+        truth, log, params = simulate_rig(duration=0.05, gyro_noise=0.1, accel_noise=0.05)
+        log = log[:n]
+        assert run_correction(log, params) == _fold_pipeline(log, params)
+        phi_bar, rate_bar = run_correction_arrays(log, params)
+        assert len(phi_bar) == len(rate_bar) == n
 
 
 class TestParamsValidation:

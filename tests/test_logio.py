@@ -29,6 +29,29 @@ def test_fractional_enc_count_rejected(tmp_path):
     assert exc.value.column == "enc_count"
 
 
+@pytest.mark.parametrize("column, row", [
+    ("t", "nan,0,0,9.8,0,0"),
+    ("gyro_dps", "0.01,inf,0,9.8,0,0"),
+    ("acc_x_mps2", "0.01,0,-inf,9.8,0,0"),
+    ("acc_y_mps2", "0.01,0,0,NaN,0,0"),
+])
+def test_non_finite_field_rejected(tmp_path, column, row):
+    path = tmp_path / "log.csv"
+    path.write_text(HEADER + "0.0,0,0,9.8,0,0\n" + row + "\n")
+    with pytest.raises(ParseError) as exc:
+        parse_log(path)
+    assert exc.value.line == 3
+    assert exc.value.column == column
+
+
+def test_read_columns_keeps_nan_for_empty_fields(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(HEADER + "0.0,1.0,0,9.8,,\n")
+    cols = read_columns(path)
+    assert cols["gyro_dps"][0] == 1.0
+    assert np.isnan(cols["enc_count"][0]) and np.isnan(cols["ref_count"][0])
+
+
 def test_non_monotone_t_rejected(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(HEADER + "0.0,0,0,9.8,0,0\n0.01,0,0,9.8,0,0\n0.01,0,0,9.8,0,0\n")

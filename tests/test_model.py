@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rig_params, simulate_rig
+from conftest import RIG_N_DRIVE, rig_models, rig_params, simulate_rig
+from oracles import shadow_simulate_run
 from tiltkit import reference as ref
 from tiltkit.correction import run_correction_arrays
 from tiltkit.errors import ParameterError, SimulationError
+from tiltkit.logio import TruthLog
 from tiltkit.model import (
     AccelErrorModel,
     GyroErrorModel,
@@ -181,6 +183,36 @@ class TestSimulateRun:
         with pytest.raises(SimulationError) as exc:
             simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
         assert exc.value.sample_index == 50
+
+    @pytest.mark.parametrize("N_drive", [RIG_N_DRIVE, 512])
+    @pytest.mark.parametrize("accel_noise", [0.0, 0.1])
+    @pytest.mark.parametrize("gyro_noise", [0.0, 0.17])
+    @pytest.mark.parametrize("with_errors", [True, False])
+    def test_matches_per_sample_shadow_reference(self, with_errors, gyro_noise,
+                                                 accel_noise, N_drive):
+        params = rig_params(with_errors=with_errors, N_drive=N_drive)
+        gyro, accel = rig_models(with_errors, gyro_noise, accel_noise)
+        profile = default_dynamic_profile(1.5, 0.01, a_t_amp=0.3, a_t_freq_hz=0.4)
+        self._assert_bit_identical(profile, gyro, accel, params, seed=21)
+
+    def test_matches_shadow_reference_when_clamped(self):
+        # both channels hit their clamp; the tilt swing makes the shadow work
+        params = rig_params(with_errors=True, N_drive=512)
+        gyro = GyroErrorModel(bias=0.3, noise_std=0.4, saturation=0.5)
+        accel = AccelErrorModel(bias_x=0.1, noise_std=0.3, saturation=9.7,
+                                scale_poly_x=(0.01, 0.0, 0.0, 0.0, 0.001))
+        profile = default_dynamic_profile(1.5, 0.01, tilt_amp_deg=30.0)
+        self._assert_bit_identical(profile, gyro, accel, params, seed=11)
+
+    @staticmethod
+    def _assert_bit_identical(profile, gyro, accel, params, seed):
+        truth, log = simulate_run(profile, gyro, accel, params, seed)
+        ref_truth, ref_log = shadow_simulate_run(profile, gyro, accel, params, seed)
+        for name in TruthLog.COLUMNS:
+            assert getattr(truth, name).tobytes() == getattr(ref_truth, name).tobytes(), name
+        for name in ("t", "gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count", "enc_missing"):
+            assert getattr(log, name).tobytes() == getattr(ref_log, name).tobytes(), name
+        assert log.ref_count is None
 
     def test_profile_validation(self):
         with pytest.raises(ParameterError):

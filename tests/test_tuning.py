@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rig_params, simulate_rig
 from tiltkit import reference as ref
+from tiltkit import tuning
 from tiltkit.correction import run_correction_arrays, scale_factor
 from tiltkit.errors import OptimizationFailure, ParameterError
 from tiltkit.filters import PARAMS, make_filter, run_filter_arrays
@@ -277,6 +278,24 @@ class TestTuneFilter:
                               initial_scale=1e-6, tol_f=1e-9, tol_x=1e-7)
         with pytest.raises(OptimizationFailure):
             tune_filter("wob", stream, ref_phi, 0.01, cfg, x0=[-5.0, -5.0])
+
+    @pytest.mark.parametrize("variant", ["wob", "wb"])
+    def test_nan_eigenvalues_rejected_before_filtering(self, noisy_stream, monkeypatch,
+                                                       variant):
+        # alpha = beta = 1e200 overflow the eigenvalues to nan: check_stability
+        # calls that unstable, so the objective must reject it unfiltered
+        stream, ref_phi = noisy_stream
+        filtered = []
+
+        def recording_run_filter_arrays(spec, *args, **kwargs):
+            filtered.append(spec)
+            return run_filter_arrays(spec, *args, **kwargs)
+
+        monkeypatch.setattr(tuning, "run_filter_arrays", recording_run_filter_arrays)
+        cfg = OptimizerConfig(max_iterations=5, restarts=1, tol_f=1e-9, tol_x=1e-7)
+        with np.errstate(all="ignore"), pytest.raises(OptimizationFailure):
+            tune_filter(variant, stream, ref_phi, 0.01, cfg, x0=[1e200, 1e200])
+        assert filtered == []
 
     def test_default_seeds_cover_registry(self):
         # the one per-variant table kept outside filters must follow PARAMS
