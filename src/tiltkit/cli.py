@@ -28,14 +28,16 @@ import numpy as np
 
 from . import analysis, filters, tuning
 from .config import check_dt_matches, load_config
-from .correction import run_correction
+from .correction import correct_columns, run_correction_arrays
+# Unused here; kept importable because per-module tracers patch it on cli.
+from .correction import run_correction  # noqa: F401
 from .errors import (
     ConfigError,
     OptimizationFailure,
     ParseError,
     TiltkitError,
 )
-from .logio import parse_log, read_columns, write_log, write_truth
+from .logio import parse_log, read_columns, write_columns, write_log, write_truth
 from .model import default_dynamic_profile, simulate_run, zero_motion_profile
 from .reference import GRAVITY
 
@@ -196,11 +198,10 @@ def cmd_tune(config, args):
         print(text, end="")
         return EXIT_OK
 
-    corrected = run_correction(log, params)
     seed_params = config.filter_params()
     x0 = None if seed_params is None else list(seed_params.values())
-    result = tuning.tune_filter(config.variant, corrected, ref_phi, config.dt,
-                                cfg=cfg, x0=x0)
+    result = tuning.tune_filter(config.variant, run_correction_arrays(log, params), ref_phi,
+                                config.dt, cfg=cfg, x0=x0)
     report = analysis.make_report([result])
     report.write(args.out)
     print(report.text, end="")
@@ -213,30 +214,21 @@ def cmd_run(config, args):
     log = parse_log(args.log)
     check_dt_matches(config, log)
     params = config.correction_params()
-    corrected = run_correction(log, params)
+    corrected = correct_columns(log, params)
 
     filter_params = config.filter_params()
     if filter_params is None:
         raise ConfigError(f"variant {config.variant} parameters missing from config")
     spec = filters.make_filter(config.variant, filter_params, config.dt)
-    phi_hat = filters.run_filter(spec, corrected)
+    phi_hat = filters.run_filter(spec, (corrected.phi_bar, corrected.rate_bar))
 
     header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
+    columns = [log.t, phi_hat, corrected.phi_bar, corrected.rate_bar]
     if args.debug_intermediates:
         header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
-    rows = []
-    for k, c in enumerate(corrected):
-        row = [repr(float(log.t[k])), repr(float(phi_hat[k])),
-               repr(c.phi_bar), repr(c.rate_bar)]
-        if args.debug_intermediates:
-            row += [repr(c.a_c), repr(c.a_e), repr(c.a_t), repr(c.a_t_x), repr(c.a_t_y)]
-        rows.append(row)
-    path = _outpath(args, "estimate.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    print(f"# wrote estimate.csv ({len(rows)} samples)")
+        columns += [getattr(corrected, name) for name in header[4:]]
+    write_columns(_outpath(args, "estimate.csv"), header, columns)
+    print(f"# wrote estimate.csv ({len(log)} samples)")
     return EXIT_OK
 
 
@@ -271,11 +263,8 @@ def cmd_spectrum(config, args):
         raise ConfigError(f"column {args.channel!r} not in {args.log}")
     signal = cols[args.channel]
     sp = analysis.noise_spectrum(signal, config.dt)
-    path = _outpath(args, "spectrum.csv")
-    with open(path, "w") as fh:
-        fh.write("frequency_hz,magnitude\n")
-        for f, m in zip(sp.frequencies, sp.magnitudes):
-            fh.write(f"{float(f)!r},{float(m)!r}\n")
+    write_columns(_outpath(args, "spectrum.csv"), ["frequency_hz", "magnitude"],
+                  [sp.frequencies, sp.magnitudes])
     print(f"# wrote spectrum.csv ({len(sp.frequencies)} bins, "
           f"area={analysis.spectrum_area(sp)!r})")
     return EXIT_OK

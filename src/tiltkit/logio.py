@@ -12,11 +12,16 @@ CSV layout (fixed header, decimal point, no locale formatting)::
 absent entirely or individual fields may be empty.  An empty ``enc_count``
 field is accepted and flagged; it is treated as zero pulses downstream.
 Floats are written with ``repr`` so a written file re-parses bit-exactly.
+Every writer goes through :func:`write_columns`.  Rows of ``log.csv`` and
+``truth.csv`` (:func:`write_log`, :func:`write_truth`) end in CRLF, the
+``csv`` module's default; rows of the CLI's ``estimate.csv`` and
+``spectrum.csv`` end in LF.
 """
 
 from array import array
 from dataclasses import dataclass
-from math import isfinite
+from itertools import repeat
+from math import isfinite, nan
 from typing import Optional
 
 import csv
@@ -141,6 +146,24 @@ def _float_field(text, line_no, column):
     return value
 
 
+def _csv_rows(path):
+    """Yield a CSV file's header row, then ``(line_no, fields)`` for each
+    non-empty row; raises ParseError for an empty file or a row whose field
+    count differs from the header's."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", line=1)
+        yield header
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+            yield line_no, row
+
+
 def parse_log(path):
     """Parse a raw-sample CSV into a :class:`RawLog`.
 
@@ -158,46 +181,37 @@ def parse_log(path):
     enc_missing = array("b")
     any_ref = False
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if header not in (CSV_HEADER, CSV_HEADER[:5]):
-            raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
-        has_ref_col = len(header) == 6
+    rows = _csv_rows(path)
+    header = [h.strip() for h in next(rows)]
+    if header not in (CSV_HEADER, CSV_HEADER[:5]):
+        raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
+    has_ref_col = len(header) == 6
 
-        prev_t = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
-            tv = _float_field(row[0], line_no, "t")
-            if prev_t is not None and tv <= prev_t:
-                raise OrderingError(f"t={tv!r} does not increase past {prev_t!r}",
-                                    line=line_no, column="t")
-            prev_t = tv
-            t.append(tv)
-            gyro.append(_float_field(row[1], line_no, "gyro_dps"))
-            acc_x.append(_float_field(row[2], line_no, "acc_x_mps2"))
-            acc_y.append(_float_field(row[3], line_no, "acc_y_mps2"))
-            enc_text = row[4].strip()
-            if enc_text == "":
-                enc.append(0)
-                enc_missing.append(1)
+    prev_t = None
+    for line_no, row in rows:
+        tv = _float_field(row[0], line_no, "t")
+        if prev_t is not None and tv <= prev_t:
+            raise OrderingError(f"t={tv!r} does not increase past {prev_t!r}",
+                                line=line_no, column="t")
+        prev_t = tv
+        t.append(tv)
+        gyro.append(_float_field(row[1], line_no, "gyro_dps"))
+        acc_x.append(_float_field(row[2], line_no, "acc_x_mps2"))
+        acc_y.append(_float_field(row[3], line_no, "acc_y_mps2"))
+        enc_text = row[4].strip()
+        if enc_text == "":
+            enc.append(0)
+            enc_missing.append(1)
+        else:
+            enc.append(_int_field(enc_text, line_no, "enc_count"))
+            enc_missing.append(0)
+        if has_ref_col:
+            ref_text = row[5].strip()
+            if ref_text == "":
+                ref.append(0)
             else:
-                enc.append(_int_field(enc_text, line_no, "enc_count"))
-                enc_missing.append(0)
-            if has_ref_col:
-                ref_text = row[5].strip()
-                if ref_text == "":
-                    ref.append(0)
-                else:
-                    ref.append(_int_field(ref_text, line_no, "ref_count"))
-                    any_ref = True
+                ref.append(_int_field(ref_text, line_no, "ref_count"))
+                any_ref = True
 
     n = len(t)
     return RawLog(
@@ -211,53 +225,92 @@ def parse_log(path):
     )
 
 
+# Rows formatted per write.  Formatting a whole column at once would hold a
+# string per value; a block bounds that memory to BLOCK_ROWS rows.
+BLOCK_ROWS = 4096
+
+
+def _block_fields(column, start, stop):
+    """Fields of rows start..stop of one :func:`write_columns` column."""
+    if column is None:
+        return repeat("", stop - start)
+    if isinstance(column, tuple):
+        values, blank = column
+        fields = list(map(repr, values[start:stop].tolist()))
+        for i in np.flatnonzero(blank[start:stop]).tolist():
+            fields[i] = ""
+        return fields
+    return map(repr, column[start:stop].tolist())
+
+
+def write_columns(path, header, columns, line_end="\n"):
+    """Write equal-length numpy columns as CSV rows ending in ``line_end``.
+
+    A field is the ``repr`` of the column's Python value: floats re-parse
+    bit-exactly, ints print as digits.  A ``None`` column is empty on every
+    row, and a ``(values, blank)`` pair is empty where the boolean array
+    ``blank`` is set.  The first column must be an array; it fixes the
+    row count.  Rows are formatted :data:`BLOCK_ROWS` at a time.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + line_end)
+        for start in range(0, n, BLOCK_ROWS):
+            rows = zip(*(_block_fields(c, start, min(start + BLOCK_ROWS, n)) for c in columns))
+            fh.writelines([",".join(row) + line_end for row in rows])
+
+
 def write_log(path, log):
     """Write a :class:`RawLog` (or iterable of RawSample) as CSV."""
     if not isinstance(log, RawLog):
         log = RawLog.from_samples(log)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        ref = log.ref_count
-        for k in range(len(log)):
-            writer.writerow([
-                repr(float(log.t[k])),
-                repr(float(log.gyro_dps[k])),
-                repr(float(log.acc_x_mps2[k])),
-                repr(float(log.acc_y_mps2[k])),
-                "" if log.enc_missing[k] else int(log.enc_count[k]),
-                int(ref[k]) if ref is not None else "",
-            ])
+    write_columns(path, CSV_HEADER,
+                  (log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
+                   (log.enc_count, log.enc_missing), log.ref_count), "\r\n")
 
 
 def write_truth(path, truth):
     """Write a :class:`TruthLog` as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TruthLog.COLUMNS)
-        for k in range(len(truth)):
-            writer.writerow([repr(float(getattr(truth, c)[k])) for c in TruthLog.COLUMNS])
+    write_columns(path, TruthLog.COLUMNS, [getattr(truth, c) for c in TruthLog.COLUMNS],
+                  "\r\n")
 
 
 def read_columns(path):
     """Read any tiltkit-written CSV back as {column: float ndarray}.
 
-    Empty fields become NaN.  Used by the ``eval`` and ``spectrum`` commands
-    and by round-trip tests.
+    Empty fields become NaN.  Raises :class:`ParseError` (line and column)
+    for a field that is not a number or is a non-finite one.  Used by the
+    ``eval`` and ``spectrum`` commands and by round-trip tests.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        cols = {name: array("d") for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+    rows = _csv_rows(path)
+    header = next(rows)
+    cols = {name: array("d") for name in header}
+    blanks = dict.fromkeys(header, 0)
+    try:
+        for _, row in rows:
             for name, text in zip(header, row):
-                cols[name].append(float(text) if text.strip() != "" else float("nan"))
-    return {name: (np.frombuffer(vals, dtype=float) if len(vals) else np.empty(0))
-            for name, vals in cols.items()}
+                if text.strip() != "":
+                    cols[name].append(float(text))
+                else:
+                    cols[name].append(nan)
+                    blanks[name] += 1
+    except ValueError:
+        _raise_first_bad_field(path)
+    out = {name: (np.frombuffer(vals, dtype=float) if len(vals) else np.empty(0))
+           for name, vals in cols.items()}
+    # Every non-finite value must come from an empty field.
+    if any(np.count_nonzero(~np.isfinite(out[name])) != blanks[name] for name in out):
+        _raise_first_bad_field(path)
+    return out
+
+
+def _raise_first_bad_field(path):
+    """Re-read a CSV and raise ParseError for its first non-empty field
+    that is not a finite number."""
+    rows = _csv_rows(path)
+    header = next(rows)
+    for line_no, row in rows:
+        for name, text in zip(header, row):
+            if text.strip() != "":
+                _float_field(text, line_no, name)
+    raise ParseError("a field changed to a non-finite number while being read")

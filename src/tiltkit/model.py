@@ -26,7 +26,7 @@ here is a pure function over value types; one run is single-threaded, and
 independent runs (distinct seeds) can execute concurrently.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import cos, floor, isfinite, pi, radians, sin
 from typing import Callable
 
@@ -150,25 +150,25 @@ def default_dynamic_profile(duration, dt, tilt_amp_deg=0.15, tilt_freq_hz=0.7,
                          phi0=0.0, phi_dot0=tilt_amp_deg * w_phi)
 
 
+def euler_step(p, p_dot, p_ddot, dt):
+    """One forward-Euler step of a position/rate pair under the acceleration
+    ``p_ddot``: returns ``(p + p_dot*dt + p_ddot*dt^2/2, p_dot + p_ddot*dt)``."""
+    return p + p_dot * dt + 0.5 * p_ddot * dt * dt, p_dot + p_ddot * dt
+
+
 def step_kinematics(state, dt):
     """Advance the state one forward-Euler step of length dt.
 
-    phi gains phi_dot*dt + phi_ddot*dt^2/2, phi_dot gains phi_ddot*dt, the
-    accelerations carry over unchanged, and the translational triplet
-    advances the same way.
+    The tilt and the translational triplet each take one :func:`euler_step`;
+    the accelerations carry over unchanged.
     """
     if not dt > 0:
         raise ParameterError("dt must be positive")
     if not state.is_finite():
         raise ParameterError(f"non-finite robot state: {state}")
-    return RobotState(
-        phi=state.phi + state.phi_dot * dt + 0.5 * state.phi_ddot * dt * dt,
-        phi_dot=state.phi_dot + state.phi_ddot * dt,
-        phi_ddot=state.phi_ddot,
-        x_pos=state.x_pos + state.v_t * dt + 0.5 * state.a_t * dt * dt,
-        v_t=state.v_t + state.a_t * dt,
-        a_t=state.a_t,
-    )
+    phi, phi_dot = euler_step(state.phi, state.phi_dot, state.phi_ddot, dt)
+    x_pos, v_t = euler_step(state.x_pos, state.v_t, state.a_t, dt)
+    return RobotState(phi, phi_dot, state.phi_ddot, x_pos, v_t, state.a_t)
 
 
 def _clamp(x, limit):
@@ -255,36 +255,41 @@ def simulate_run(profile, gyro, accel, params, seed):
     n = profile.n_samples
     rng = np.random.default_rng(seed)
 
-    state = RobotState(phi=profile.phi0, phi_dot=profile.phi_dot0,
-                       phi_ddot=profile.phi_ddot_fn(0.0), a_t=profile.a_t_fn(0.0))
-
     # Truth columns in TruthLog order after t: phi, phi_dot, phi_ddot, x, v, a_t.
     truth_cols = np.empty((6, n))
     acc_x_arr, acc_y_arr = np.empty((2, n))
     enc_arr = np.empty(n, dtype=np.int64)
 
+    # The truth advances on plain floats, stored through memoryviews.
+    phi_out, dot_out, ddot_out, x_out, v_out, a_out = map(memoryview, truth_cols)
+    enc_out = memoryview(enc_arr)
+    phi, phi_dot, x, v = profile.phi0, profile.phi_dot0, 0.0, 0.0
+    phi_ddot, a_t = profile.phi_ddot_fn(0.0), profile.a_t_fn(0.0)
     pulses_per_m = params.N_drive / (2.0 * pi * params.R_w)
     pulse_residual = 0.0
-    prev_x = state.x_pos
+    prev_x = x
 
     for k in range(n):
-        if not state.is_finite():
+        # Encoder: the wheel travel of the period ending at t_k, in pulses.
+        pulse_residual += (x - prev_x) * pulses_per_m
+        # One check per sample; the range test also keeps a non-finite
+        # residual from floor() and one past int64 from the encoder column.
+        if not (isfinite(phi) and isfinite(phi_dot) and isfinite(phi_ddot) and isfinite(x)
+                and isfinite(v) and isfinite(a_t) and -2.0**63 <= pulse_residual < 2.0**63):
             raise SimulationError(k)
-        truth_cols[:, k] = (state.phi, state.phi_dot, state.phi_ddot,
-                            state.x_pos, state.v_t, state.a_t)
-
-        # Encoder: quantise the wheel travel of the period ending at t_k.
-        pulse_residual += (state.x_pos - prev_x) * pulses_per_m
+        phi_out[k], dot_out[k], ddot_out[k] = phi, phi_dot, phi_ddot
+        x_out[k], v_out[k], a_out[k] = x, v, a_t
         n_pulses = floor(pulse_residual)
         pulse_residual -= n_pulses
-        prev_x = state.x_pos
-        enc_arr[k] = n_pulses
+        prev_x = x
+        enc_out[k] = n_pulses
 
         # Ground truth advances by the pure Euler step, then the profile
         # re-drives the accelerations for the next instant.
+        phi, phi_dot = euler_step(phi, phi_dot, phi_ddot, dt)
+        x, v = euler_step(x, v, a_t, dt)
         t_next = (k + 1) * dt
-        state = replace(step_kinematics(state, dt), phi_ddot=profile.phi_ddot_fn(t_next),
-                        a_t=profile.a_t_fn(t_next))
+        phi_ddot, a_t = profile.phi_ddot_fn(t_next), profile.a_t_fn(t_next)
 
     # One bulk draw in the per-sample order gyro, x', y'; a channel with
     # zero noise draws nothing.

@@ -3,9 +3,12 @@
 The two-phase functions write out each variant's predict/correct equations
 directly; the textbook Kalman filter is a plain matrix-form implementation;
 the shadow simulator generates one sample at a time and runs the streaming
-correction step on each.  All stay deliberately separate from the package
-code paths they check.
+correction step on each; the row-wise CSV writers format one row at a
+time, through ``csv.writer`` for the logs.  All stay deliberately separate
+from the package code paths they check.
 """
+
+import csv
 
 import numpy as np
 
@@ -152,3 +155,57 @@ def shadow_simulate_run(profile, gyro, accel, params, seed):
                      cols["x"], cols["v"], cols["a_t"])
     log = RawLog(cols["t"], cols["gyro"], cols["acc_x"], cols["acc_y"], enc)
     return truth, log
+
+
+def rowwise_write_log(path, log):
+    """Row-at-a-time writer of a RawLog (or iterable of RawSample)."""
+    from tiltkit.logio import CSV_HEADER, RawLog
+
+    if not isinstance(log, RawLog):
+        log = RawLog.from_samples(log)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        ref = log.ref_count
+        for k in range(len(log)):
+            writer.writerow([
+                repr(float(log.t[k])),
+                repr(float(log.gyro_dps[k])),
+                repr(float(log.acc_x_mps2[k])),
+                repr(float(log.acc_y_mps2[k])),
+                "" if log.enc_missing[k] else int(log.enc_count[k]),
+                int(ref[k]) if ref is not None else "",
+            ])
+
+
+def rowwise_write_truth(path, truth):
+    """Row-at-a-time writer of a TruthLog."""
+    from tiltkit.logio import TruthLog
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TruthLog.COLUMNS)
+        for k in range(len(truth)):
+            writer.writerow([repr(float(getattr(truth, c)[k])) for c in TruthLog.COLUMNS])
+
+
+def rowwise_estimate_csv(path, t, phi_hat, corrected, debug_intermediates=False):
+    """``tiltkit run``'s estimate.csv, one CorrectedSample per row."""
+    header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
+    if debug_intermediates:
+        header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for k, c in enumerate(corrected):
+            row = [repr(float(t[k])), repr(float(phi_hat[k])), repr(c.phi_bar), repr(c.rate_bar)]
+            if debug_intermediates:
+                row += [repr(c.a_c), repr(c.a_e), repr(c.a_t), repr(c.a_t_x), repr(c.a_t_y)]
+            fh.write(",".join(row) + "\n")
+
+
+def rowwise_spectrum_csv(path, frequencies, magnitudes):
+    """``tiltkit spectrum``'s spectrum.csv, one bin per row."""
+    with open(path, "w") as fh:
+        fh.write("frequency_hz,magnitude\n")
+        for f, m in zip(frequencies, magnitudes):
+            fh.write(f"{float(f)!r},{float(m)!r}\n")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import rowwise_estimate_csv, rowwise_spectrum_csv
 from tiltkit import reference as ref
+from tiltkit.analysis import noise_spectrum
 from tiltkit.cli import accumulate_reference, main
 from tiltkit.cli import EXIT_CONTRACT
 from tiltkit.config import RunConfig, load_config, parse_config_text
-from tiltkit.filters import PARAMS
+from tiltkit.correction import run_correction
+from tiltkit.filters import PARAMS, make_filter, run_filter
 from tiltkit.errors import ParseError
-from tiltkit.logio import read_columns, write_log, RawLog
+from tiltkit.logio import parse_log, read_columns, write_log, RawLog
 
 
 class TestAccumulateReference:
@@ -105,6 +108,29 @@ class TestCommands:
                          "--log", str(out / "log.csv")]) == 0
         assert (a / "estimate.csv").read_bytes() == (b / "estimate.csv").read_bytes()
 
+    def test_estimate_and_spectrum_bytes_match_rowwise_writers(self, tmp_path):
+        # run's columns and estimate writer against CorrectedSample objects
+        # formatted one row at a time
+        cfg_path, cfg = write_config(tmp_path, gyro_noise_std_dps=0.17,
+                                     accel_noise_std_mps2=0.1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        log = parse_log(out / "log.csv")
+        corrected = run_correction(log, cfg.correction_params())
+        phi_hat = run_filter(make_filter(cfg.variant, cfg.filter_params(), cfg.dt), corrected)
+        for debug in (False, True):
+            dest = tmp_path / f"run_{debug}"
+            assert main(["run", "--config", str(cfg_path), "--out", str(dest),
+                         "--log", str(out / "log.csv")]
+                        + ["--debug-intermediates"] * debug) == 0
+            rowwise_estimate_csv(tmp_path / "ref.csv", log.t, phi_hat, corrected, debug)
+            assert (dest / "estimate.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(out),
+                     "--log", str(out / "log.csv"), "--channel", "acc_x_mps2"]) == 0
+        sp = noise_spectrum(log.acc_x_mps2, cfg.dt)
+        rowwise_spectrum_csv(tmp_path / "ref.csv", sp.frequencies, sp.magnitudes)
+        assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, gyro_noise_std_dps=0.17,
                                    accel_noise_std_mps2=0.1)
@@ -157,6 +183,20 @@ class TestCommands:
                      "--out", str(tmp_path / "est")]) == 3
         assert "line 3, column gyro_dps" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
+
+    @pytest.mark.parametrize("field", ["abc", "nan", "-inf"])
+    @pytest.mark.parametrize("command", ["eval", "spectrum"])
+    def test_bad_column_field_exit_3(self, tmp_path, capsys, command, field):
+        cfg_path, _ = write_config(tmp_path)
+        est = tmp_path / "est.csv"
+        est.write_text(f"t,phi_hat_deg,phi_deg\n0,0.1,0.1\n0.01,{field},0.2\n0.02,0.1,0.2\n")
+        argv = [command, "--config", str(cfg_path), "--log", str(est),
+                "--out", str(tmp_path / "out")]
+        if command == "spectrum":
+            argv += ["--channel", "phi_hat_deg"]
+        assert main(argv) == 3
+        assert "line 3, column phi_hat_deg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_calibrate_static(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

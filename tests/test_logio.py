@@ -1,11 +1,15 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import simulate_rig
+from oracles import (rowwise_estimate_csv, rowwise_spectrum_csv, rowwise_write_log,
+                     rowwise_write_truth)
 from tiltkit.errors import OrderingError, ParseError
-from tiltkit.logio import RawLog, RawSample, parse_log, read_columns, write_log
+from tiltkit.logio import (BLOCK_ROWS, RawLog, RawSample, TruthLog, parse_log, read_columns,
+                           write_columns, write_log, write_truth)
 
 HEADER = "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
 
@@ -136,3 +140,119 @@ def test_read_columns_roundtrip(tmp_path):
     cols = read_columns(path)
     assert cols["a"][0] == 0.1 and cols["a"][1] == -0.25
     assert np.isnan(cols["b"][1])
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("a,b\n0.1,2.5\n0.2,abc\n", 3, "b"),
+    ("a,b\n0.1,2.5\n1e-3x,1\n", 3, "a"),
+    ("a,b\n0.1,nan\n", 2, "b"),
+    ("a,b\n0.1,\n0.2,2\ninf,1\n", 4, "a"),
+    ("a,b\n0.1,\n0.2,-inf\n", 3, "b"),
+    ("a,b\n,\n0.2, NaN \n", 3, "b"),
+])
+def test_read_columns_rejects_bad_fields(tmp_path, text, line, column):
+    path = tmp_path / "cols.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_columns(path)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# Float values whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the switches between fixed and exponent notation, and the
+# non-finite values.
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16,
+                  float("inf"), float("nan"))
+WRITER_SIZES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
+
+
+def _float_columns(n, k, seed):
+    """k float columns of n rows, the special values spread over each one."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-30, 30, (k, n))
+    for c in range(k):
+        for i, value in enumerate(SPECIAL_FLOATS):
+            if n:
+                cols[c, (c + i * 613) % n] = value
+    return cols
+
+
+def _assert_same_bytes(tmp_path, write, reference, *args):
+    write(tmp_path / "new.csv", *args)
+    reference(tmp_path / "old.csv", *args)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", WRITER_SIZES)
+@pytest.mark.parametrize("ref", ["absent", "full"])
+def test_write_log_matches_rowwise_writer(tmp_path, n, ref):
+    rng = np.random.default_rng(n)
+    t, gyro, acc_x, acc_y = _float_columns(n, 4, seed=n)
+    enc = rng.integers(-2 ** 62, 2 ** 62, n)
+    missing = rng.random(n) < 0.2
+    missing[BLOCK_ROWS - 1:BLOCK_ROWS + 1] = True
+    ref_count = rng.integers(-5, 5, n) if ref == "full" else None
+    log = RawLog(t, gyro, acc_x, acc_y, enc, ref_count, missing)
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, log)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
+def test_write_log_of_samples_matches_rowwise_writer(tmp_path, n):
+    # some samples carry no ref_count (written as 0 once any sample has one),
+    # some an empty enc_count field
+    floats = _float_columns(n, 4, seed=n + 1)
+    samples = [RawSample(t, g, ax, ay, enc_count=k - 3, ref_count=None if k % 3 else k,
+                         enc_missing=k % 5 == 0)
+               for k, (t, g, ax, ay) in enumerate(floats.T.tolist())]
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, samples)
+    write_log(tmp_path / "from_iterator.csv", iter(samples))
+    assert (tmp_path / "from_iterator.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    no_ref = [RawSample(s.t, s.gyro_dps, s.acc_x_mps2, s.acc_y_mps2, s.enc_count)
+              for s in samples]
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, no_ref)
+
+
+@pytest.mark.parametrize("n", WRITER_SIZES)
+def test_write_truth_matches_rowwise_writer(tmp_path, n):
+    truth = TruthLog(*_float_columns(n, 7, seed=n))
+    _assert_same_bytes(tmp_path, write_truth, rowwise_write_truth, truth)
+
+
+@pytest.mark.parametrize("n", WRITER_SIZES)
+@pytest.mark.parametrize("debug", [False, True])
+def test_estimate_rows_match_rowwise_writer(tmp_path, n, debug):
+    t, phi_hat, *fields = _float_columns(n, 9, seed=n)
+    names = ("phi_bar", "rate_bar", "a_c", "a_e", "a_t", "a_t_x", "a_t_y")
+    corrected = [SimpleNamespace(**dict(zip(names, row)))
+                 for row in np.array(fields).T.tolist()]
+    header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
+    columns = [t, phi_hat] + fields[:2]
+    if debug:
+        header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+        columns += fields[2:]
+    write_columns(tmp_path / "new.csv", header, columns)
+    rowwise_estimate_csv(tmp_path / "old.csv", t, phi_hat, corrected, debug)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", WRITER_SIZES)
+def test_spectrum_rows_match_rowwise_writer(tmp_path, n):
+    freqs, mags = _float_columns(n, 2, seed=n)
+    write_columns(tmp_path / "new.csv", ["frequency_hz", "magnitude"], [freqs, mags])
+    rowwise_spectrum_csv(tmp_path / "old.csv", freqs, mags)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_truth_memory_stays_bounded(tmp_path):
+    # Formatting a block of rows at a time keeps the writer's transient
+    # memory near 2 MB at 50k rows; whole-column string lists need about
+    # 11 MB, and raise the peak RSS of a long simulate run with them.
+    n = 50_000
+    truth = TruthLog(np.arange(n) * 0.002, *np.random.default_rng(3).standard_normal((6, n)))
+    tracemalloc.start()
+    try:
+        write_truth(tmp_path / "truth.csv", truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1024 * 1024

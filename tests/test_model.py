@@ -184,6 +184,34 @@ class TestSimulateRun:
             simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
         assert exc.value.sample_index == 50
 
+    @pytest.mark.parametrize("phi_ddot_fn, a_t_fn", [
+        (lambda t: 0.0, lambda t: float("nan") if t >= 0.3 else 0.01),
+        (lambda t: 1e308, lambda t: 0.0),       # finite drive, the Euler step overflows
+        (lambda t: float("nan"), lambda t: 0.0),  # NaN at sample 0
+    ], ids=["nan_a_t", "euler_overflow", "nan_at_0"])
+    def test_error_index_matches_shadow_reference(self, phi_ddot_fn, a_t_fn):
+        profile = MotionProfile(duration=5.0, dt=0.1, phi_ddot_fn=phi_ddot_fn, a_t_fn=a_t_fn)
+        params = rig_params(with_errors=False)
+        gyro, accel = rig_models(False, 0.17, 0.1)
+        with pytest.raises(SimulationError) as ref_exc:
+            shadow_simulate_run(profile, gyro, accel, params, 3)
+        with pytest.raises(SimulationError) as exc:
+            simulate_run(profile, gyro, accel, params, 3)
+        assert exc.value.sample_index == ref_exc.value.sample_index
+        assert 0 <= exc.value.sample_index < profile.n_samples
+
+    @pytest.mark.parametrize("a_t", [1e308, 1e290])
+    def test_encoder_overflow_raises_simulation_error(self, a_t):
+        # The wheel travel stays finite while its pulse count overflows to
+        # inf (1e308) or leaves the int64 range (1e290); the first period
+        # with travel is sample 1.  Neither floor() nor the int64 column may
+        # raise ValueError or OverflowError.
+        profile = MotionProfile(duration=1.0, dt=0.01, a_t_fn=lambda t: a_t)
+        params = rig_params(with_errors=False)
+        with pytest.raises(SimulationError) as exc:
+            simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
+        assert exc.value.sample_index == 1
+
     @pytest.mark.parametrize("N_drive", [RIG_N_DRIVE, 512])
     @pytest.mark.parametrize("accel_noise", [0.0, 0.1])
     @pytest.mark.parametrize("gyro_noise", [0.0, 0.17])
