@@ -40,7 +40,19 @@ magnitude is not finite.  Eigenvalues are computed in closed form
 (quadratic for 2x2, a Cardano/trigonometric characteristic-cubic solver
 for 3x3).  For the kalman variants the check runs the covariance recursion
 until the gain settles (tolerance 1e-12, capped at 50000 iterations) and
-evaluates the error dynamics at that gain.
+evaluates the error dynamics at that gain.  With q2 = 0 the bias gain
+only decays towards zero and never meets the tolerance, so the check
+always stops at the cap; on the published rows it reports max |lambda| =
+1 - c/50000 with c between 1 and 3, a verdict set by the cap rather than
+by the filter.
+
+:func:`run_filter_arrays` runs every fixed-gain variant through one loop
+over plain floats, x(k) = M x(k-1) + G [a(k), b(k)] with M = A - KCA and
+the state padded to three components: ``wb`` takes G = [B - KCB | K] on
+(rate_bar(k-1), phi_bar(k)), the others G = B (complementary) or K on
+(phi_bar(k), rate_bar(k)).  The padding adds exact zeros: an exact -0.0
+estimate may read +0.0, and after a diverging filter overflows, a padded
+zero times inf gives NaN where the estimate could have stayed +-inf.
 
 Specs are immutable and shareable; filter/Kalman states are single-owner
 sequential values, so many (spec, log) pairs can be evaluated in parallel.
@@ -456,9 +468,11 @@ def _classify(magnitudes):
 def steady_kalman_gain(spec, P0=None, tol=_RICCATI_TOL, max_iter=_RICCATI_MAX_ITER):
     """Iterate the covariance recursion until the gain settles.
 
-    Returns ``(k1, k2)``.  With q2 = 0 the bias gain decays towards zero
-    like 1/k; the returned value is the numerically converged truncation
-    (documented: change below ``tol`` or ``max_iter`` reached).
+    Returns ``(k1, k2)``: the first gain whose change from the step before
+    is below ``tol`` in both entries, else the gain of step ``max_iter``.
+    With q2 = 0 the bias gain decays towards zero like 1/k (or faster while
+    k1 is still falling) and never meets ``tol``, so the search always
+    runs to ``max_iter`` and returns that truncation.
     """
     k1 = k2 = float("inf")
     gains = _kalman_gains(spec, _initial_P(spec) if P0 is None else P0)
@@ -493,14 +507,25 @@ def default_initial_state(spec, first_sample):
 
 def corrected_arrays(corrected):
     """(phi_bar, rate_bar) float arrays of a corrected stream given as a
-    sequence of CorrectedSample or as a (phi_bar, rate_bar) array pair."""
+    sequence of CorrectedSample or as a (phi_bar, rate_bar) array pair.
+
+    Raises :class:`ParameterError`, naming the first bad sample, when the
+    stream is empty, the two differ in length or either holds NaN or inf.
+    """
     if (isinstance(corrected, tuple) and len(corrected) == 2
             and not hasattr(corrected[0], "phi_bar")):
-        return (np.asarray(corrected[0], dtype=float),
-                np.asarray(corrected[1], dtype=float))
-    n = len(corrected)
-    phi = np.fromiter((c.phi_bar for c in corrected), dtype=float, count=n)
-    rate = np.fromiter((c.rate_bar for c in corrected), dtype=float, count=n)
+        return _checked_arrays(*corrected)
+    return _checked_arrays([c.phi_bar for c in corrected], [c.rate_bar for c in corrected])
+
+
+def _checked_arrays(phi_bar, rate_bar):
+    phi, rate = np.asarray(phi_bar, dtype=float), np.asarray(rate_bar, dtype=float)
+    if len(phi) == 0 or len(rate) != len(phi):
+        raise ParameterError(f"unequal or empty stream: {len(phi)} phi_bar, {len(rate)} rate_bar")
+    for name, col in (("phi_bar", phi), ("rate_bar", rate)):
+        if not np.isfinite(col).all():
+            k = int(np.flatnonzero(~np.isfinite(col))[0])
+            raise ParameterError(f"{name}[{k}] is {float(col[k])!r}; filters take finite values")
     return phi, rate
 
 
@@ -508,85 +533,51 @@ def run_filter(spec, corrected, initial=None):
     """Run a spec over a corrected stream; returns the per-sample tilt
     estimates as an ndarray.
 
-    The loops are unrolled per variant for speed (tuning evaluates this
-    hot); they are algebraically identical to iterating
-    :func:`filter_step` / :func:`kalman_step`.
+    Every fixed-gain variant runs through one shared loop over plain
+    floats (see the module notes; tuning evaluates this hot), the kalman
+    variants through the scalar gain recursion; both are algebraically
+    identical to iterating :func:`filter_step` / :func:`kalman_step`.
     """
     phi, rate = corrected_arrays(corrected)
     return run_filter_arrays(spec, phi, rate, initial)
 
 
 def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
-    """Like :func:`run_filter` but on plain phi_bar/rate_bar arrays."""
-    n = len(phi_bar)
-    if n == 0:
-        raise ParameterError("corrected stream is empty")
+    """Like :func:`run_filter` but on plain phi_bar/rate_bar arrays, refused
+    as :func:`corrected_arrays` refuses them."""
+    phi, rate = _checked_arrays(phi_bar, rate_bar)
     if initial is None:
-        x0 = _default_x0(spec, float(phi_bar[0]), float(rate_bar[0]))
+        x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
     else:
         x0 = np.asarray(initial.x_hat, dtype=float)
         if x0.shape != (spec.n_states,):
             raise ParameterError(f"initial state has shape {x0.shape}, "
                                  f"spec wants ({spec.n_states},)")
 
-    out = np.empty(n)
+    out = np.empty(len(phi))
     out[0] = x0[0]
 
     if spec.variant in KALMAN_VARIANTS:
-        return _run_kalman(spec, phi_bar, rate_bar, x0, out)
+        return _run_kalman(spec, phi, rate, x0, out)
 
-    M = spec.A - spec.K @ spec.C @ spec.A
-    if spec.variant == COMPLEMENTARY:
-        a = float(M[0, 0])
-        b1, b2 = float(spec.B[0, 0]), float(spec.B[0, 1])
-        x = float(x0[0])
-        for k in range(1, n):
-            x = a * x + b1 * phi_bar[k] + b2 * rate_bar[k]
-            out[k] = x
-        return out
-
+    # Each variant's input pair keeps the term order of its own equations.
+    K = spec.K
+    G, a, b = K, phi[1:], rate[1:]
     if spec.variant == WB:
-        N = spec.B - spec.K @ spec.C @ spec.B
-        m11, m12 = float(M[0, 0]), float(M[0, 1])
-        m21, m22 = float(M[1, 0]), float(M[1, 1])
-        n1, n2 = float(N[0, 0]), float(N[1, 0])
-        k1, k2 = float(spec.K[0, 0]), float(spec.K[1, 0])
-        x1, x2 = float(x0[0]), float(x0[1])
-        for k in range(1, n):
-            u = rate_bar[k - 1]
-            y = phi_bar[k]
-            x1, x2 = (m11 * x1 + m12 * x2 + n1 * u + k1 * y,
-                      m21 * x1 + m22 * x2 + n2 * u + k2 * y)
-            out[k] = x1
-        return out
-
-    if spec.variant in (WOB, ABTG):
-        m11, m12 = float(M[0, 0]), float(M[0, 1])
-        m21, m22 = float(M[1, 0]), float(M[1, 1])
-        k11, k12 = float(spec.K[0, 0]), float(spec.K[0, 1])
-        k21, k22 = float(spec.K[1, 0]), float(spec.K[1, 1])
-        x1, x2 = float(x0[0]), float(x0[1])
-        for k in range(1, n):
-            y1 = phi_bar[k]
-            y2 = rate_bar[k]
-            x1, x2 = (m11 * x1 + m12 * x2 + k11 * y1 + k12 * y2,
-                      m21 * x1 + m22 * x2 + k21 * y1 + k22 * y2)
-            out[k] = x1
-        return out
-
-    # wa_a / wa_b
-    m = [[float(M[i, j]) for j in range(3)] for i in range(3)]
-    km = [[float(spec.K[i, j]) for j in range(2)] for i in range(3)]
-    x1, x2, x3 = float(x0[0]), float(x0[1]), float(x0[2])
-    for k in range(1, n):
-        y1 = phi_bar[k]
-        y2 = rate_bar[k]
-        x1, x2, x3 = (
-            m[0][0] * x1 + m[0][1] * x2 + m[0][2] * x3 + km[0][0] * y1 + km[0][1] * y2,
-            m[1][0] * x1 + m[1][1] * x2 + m[1][2] * x3 + km[1][0] * y1 + km[1][1] * y2,
-            m[2][0] * x1 + m[2][1] * x2 + m[2][2] * x3 + km[2][0] * y1 + km[2][1] * y2,
-        )
-        out[k] = x1
+        G, a, b = np.hstack([spec.B - K @ spec.C @ spec.B, K]), rate[:-1], phi[1:]
+    elif spec.variant == COMPLEMENTARY:
+        G = spec.B
+    pad = 3 - spec.n_states
+    M = np.pad(spec.A - K @ spec.C @ spec.A, (0, pad))
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = M.tolist()
+    (g11, g12), (g21, g22), (g31, g32) = np.pad(G, ((0, pad), (0, 0))).tolist()
+    x1, x2, x3 = np.pad(x0, (0, pad)).tolist()
+    est = memoryview(out)
+    for k, ak, bk in zip(count(1), a.tolist(), b.tolist()):
+        x1, x2, x3 = (m11 * x1 + m12 * x2 + m13 * x3 + g11 * ak + g12 * bk,
+                      m21 * x1 + m22 * x2 + m23 * x3 + g21 * ak + g22 * bk,
+                      m31 * x1 + m32 * x2 + m33 * x3 + g31 * ak + g32 * bk)
+        est[k] = x1
     return out
 
 

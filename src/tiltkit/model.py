@@ -66,8 +66,10 @@ class GyroErrorModel:
     saturation: float = GYRO_SATURATION_DPS  # deg/s
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be >= 0")
+        if not isfinite(self.bias):
+            raise ParameterError(f"bias must be finite, got {self.bias!r}")
+        if not self.noise_std >= 0:
+            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std!r}")
         if not self.saturation > 0:
             raise ParameterError("saturation must be positive")
 
@@ -88,8 +90,11 @@ class AccelErrorModel:
     saturation: float = ACCEL_SATURATION_MPS2  # m/s^2
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be >= 0")
+        values = (self.bias_x, self.bias_y, *self.scale_poly_x, *self.scale_poly_y)
+        if not all(map(isfinite, values)):
+            raise ParameterError(f"biases and scale coefficients must be finite, got {values}")
+        if not self.noise_std >= 0:
+            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std!r}")
         if not self.saturation > 0:
             raise ParameterError("saturation must be positive")
         if len(self.scale_poly_x) != 5 or len(self.scale_poly_y) != 5:

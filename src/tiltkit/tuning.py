@@ -303,13 +303,16 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
 
     ``corrected`` may be a sequence of CorrectedSample or a (phi_bar,
     rate_bar) array pair.  ``verification``, when given, is a second
-    (corrected, ref_phi) set evaluated once at the tuned parameters.
+    (corrected, ref_phi) set evaluated once at the tuned parameters.  Both
+    streams are checked (:func:`corrected_arrays`) before the search.
     """
     variant = canonical_variant(variant)
     phi_bar, rate_bar = corrected_arrays(corrected)
     ref = np.asarray(ref_phi, dtype=float)
     if len(ref) != len(phi_bar):
         raise ParameterError("stream and reference must have equal length")
+    if verification is not None:
+        v_phi, v_rate = corrected_arrays(verification[0])
 
     names = PARAMS[variant]
     is_kalman = variant in KALMAN_VARIANTS
@@ -360,8 +363,6 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
                           training_mse=opt.fun, iterations=opt.iterations,
                           converged=opt.converged, stability_report=report)
     if verification is not None:
-        v_stream, v_ref = verification
-        v_phi, v_rate = corrected_arrays(v_stream)
         est = run_filter_arrays(spec, v_phi, v_rate)
-        result.verification_mse = mse(np.asarray(v_ref, dtype=float), est)
+        result.verification_mse = mse(np.asarray(verification[1], dtype=float), est)
     return result

@@ -2,10 +2,11 @@
 
 The two-phase functions write out each variant's predict/correct equations
 directly; the textbook Kalman filter is a plain matrix-form implementation;
-the shadow simulator generates one sample at a time and runs the streaming
-correction step on each; the row-wise CSV writers format one row at a
-time, through ``csv.writer`` for the logs.  All stay deliberately separate
-from the package code paths they check.
+the unrolled fixed-gain loops keep one recurrence per variant, each with
+its own term order; the shadow simulator generates one sample at a time
+and runs the streaming correction step on each; the row-wise CSV writers
+format one row at a time, through ``csv.writer`` for the logs.  All stay
+deliberately separate from the package code paths they check.
 """
 
 import csv
@@ -73,6 +74,77 @@ def textbook_kalman(phi_bar, rate_bar, dt, q1, q2, r, P0, x0):
     return out
 
 
+def unrolled_run_filter(spec, phi_bar, rate_bar, initial=None):
+    """Per-variant unrolled loops of the fixed-gain filters.
+
+    The complementary, ``wb``, ``wob``/``abtg`` and ``wa_*`` recurrences each
+    written out with their own term order, reading the arrays item by item.
+    ``run_filter_arrays`` must give the same bytes on every nonzero
+    estimate.
+    """
+    from tiltkit.filters import ABTG, COMPLEMENTARY, WB, WOB, _default_x0
+
+    n = len(phi_bar)
+    if initial is None:
+        x0 = _default_x0(spec, float(phi_bar[0]), float(rate_bar[0]))
+    else:
+        x0 = np.asarray(initial.x_hat, dtype=float)
+    out = np.empty(n)
+    out[0] = x0[0]
+
+    M = spec.A - spec.K @ spec.C @ spec.A
+    if spec.variant == COMPLEMENTARY:
+        a = float(M[0, 0])
+        b1, b2 = float(spec.B[0, 0]), float(spec.B[0, 1])
+        x = float(x0[0])
+        for k in range(1, n):
+            x = a * x + b1 * phi_bar[k] + b2 * rate_bar[k]
+            out[k] = x
+        return out
+
+    if spec.variant == WB:
+        N = spec.B - spec.K @ spec.C @ spec.B
+        m11, m12 = float(M[0, 0]), float(M[0, 1])
+        m21, m22 = float(M[1, 0]), float(M[1, 1])
+        n1, n2 = float(N[0, 0]), float(N[1, 0])
+        k1, k2 = float(spec.K[0, 0]), float(spec.K[1, 0])
+        x1, x2 = float(x0[0]), float(x0[1])
+        for k in range(1, n):
+            u = rate_bar[k - 1]
+            y = phi_bar[k]
+            x1, x2 = (m11 * x1 + m12 * x2 + n1 * u + k1 * y,
+                      m21 * x1 + m22 * x2 + n2 * u + k2 * y)
+            out[k] = x1
+        return out
+
+    if spec.variant in (WOB, ABTG):
+        m11, m12 = float(M[0, 0]), float(M[0, 1])
+        m21, m22 = float(M[1, 0]), float(M[1, 1])
+        k11, k12 = float(spec.K[0, 0]), float(spec.K[0, 1])
+        k21, k22 = float(spec.K[1, 0]), float(spec.K[1, 1])
+        x1, x2 = float(x0[0]), float(x0[1])
+        for k in range(1, n):
+            y1 = phi_bar[k]
+            y2 = rate_bar[k]
+            x1, x2 = (m11 * x1 + m12 * x2 + k11 * y1 + k12 * y2,
+                      m21 * x1 + m22 * x2 + k21 * y1 + k22 * y2)
+            out[k] = x1
+        return out
+
+    # wa_a / wa_b
+    m = [[float(M[i, j]) for j in range(3)] for i in range(3)]
+    km = [[float(spec.K[i, j]) for j in range(2)] for i in range(3)]
+    x1, x2, x3 = float(x0[0]), float(x0[1]), float(x0[2])
+    for k in range(1, n):
+        y1 = phi_bar[k]
+        y2 = rate_bar[k]
+        x1, x2, x3 = (
+            m[0][0] * x1 + m[0][1] * x2 + m[0][2] * x3 + km[0][0] * y1 + km[0][1] * y2,
+            m[1][0] * x1 + m[1][1] * x2 + m[1][2] * x3 + km[1][0] * y1 + km[1][1] * y2,
+            m[2][0] * x1 + m[2][1] * x2 + m[2][2] * x3 + km[2][0] * y1 + km[2][1] * y2,
+        )
+        out[k] = x1
+    return out
 
 
 def shadow_simulate_run(profile, gyro, accel, params, seed):

@@ -163,6 +163,26 @@ class TestCommands:
         assert "alpha=nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("key", ["gyro_noise_std_dps", "gyro_bias_dps"])
+    def test_simulate_non_finite_gyro_model_exit_4(self, tmp_path, capsys, key):
+        cfg_path, _ = write_config(tmp_path, **{key: float("nan")})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONTRACT
+        assert "nan" in capsys.readouterr().err
+        assert not (out / "log.csv").exists()
+
+    def test_run_non_finite_corrected_stream_exit_4(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        nan_path, _ = write_config(tmp_path, name="nan.cfg", gyro_bias_dps=float("nan"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(nan_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv")]) == EXIT_CONTRACT
+        assert "phi_bar[1] is nan" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
+
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2

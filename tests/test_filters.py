@@ -1,10 +1,14 @@
+from dataclasses import replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import simulate_rig
 from tiltkit import filters as F
 from tiltkit import reference as ref
+from tiltkit.correction import run_correction_arrays
 from tiltkit.errors import FilterConfigError, FilterDesignError, ParameterError
 from oracles import (
     textbook_kalman,
@@ -13,6 +17,7 @@ from oracles import (
     two_phase_wa,
     two_phase_wb,
     two_phase_wob,
+    unrolled_run_filter,
 )
 
 def random_streams(n, seed):
@@ -20,6 +25,19 @@ def random_streams(n, seed):
     phi = np.cumsum(rng.normal(0, 0.1, n)) + rng.normal(0, 0.5, n)
     rate = rng.normal(0, 5.0, n)
     return phi, rate
+
+
+FIXED_GAIN_ROWS = [row for row in ref.FILTER_TUNINGS if row.variant in F.FIXED_GAIN_VARIANTS]
+KALMAN_ROWS = [row for row in ref.FILTER_TUNINGS if row.variant in F.KALMAN_VARIANTS]
+
+
+def row_id(row):
+    return f"{row.variant}@{row.dt_ms:g}"
+
+
+def published_spec(variant, dt_ms=2.0):
+    row = next(r for r in ref.FILTER_TUNINGS if r.variant == variant and r.dt_ms == dt_ms)
+    return F.make_filter(variant, row.params, dt_ms / 1000.0)
 
 
 class TestMakeFilter:
@@ -414,3 +432,141 @@ class TestRunFilter:
         spec = F.make_filter("wb", {"alpha": 0.1, "beta": 0.0}, 0.01)
         with pytest.raises(ParameterError):
             F.run_filter(spec, [])
+
+    @pytest.mark.parametrize("variant", F.ALL_VARIANTS)
+    def test_unequal_lengths_rejected(self, variant):
+        spec = published_spec(variant)
+        phi, rate = random_streams(6, 15)
+        for p, r in ((phi, rate[:-1]), (phi, np.append(rate, 1.0)), (phi[:-1], rate)):
+            with pytest.raises(ParameterError, match="unequal"):
+                F.run_filter_arrays(spec, p, r)
+
+    @pytest.mark.parametrize("variant", F.ALL_VARIANTS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_stream_rejected(self, variant, bad):
+        spec = published_spec(variant)
+        for column, name in ((0, "phi_bar"), (1, "rate_bar")):
+            for k in (0, 4):
+                stream = [a.copy() for a in random_streams(6, 16)]
+                stream[column][k] = bad
+                with pytest.raises(ParameterError, match=rf"{name}\[{k}\]"):
+                    F.run_filter_arrays(spec, *stream)
+                with pytest.raises(ParameterError, match=rf"{name}\[{k}\]"):
+                    F.run_filter(spec, tuple(stream))
+
+
+def assert_same_bytes(spec, phi, rate, initial=None):
+    new = F.run_filter_arrays(spec, phi, rate, initial)
+    old = unrolled_run_filter(spec, phi, rate, initial)
+    assert new.tobytes() == old.tobytes(), (spec.variant, spec.dt, spec.params, len(phi))
+
+
+class TestSharedLoopMatchesUnrolled:
+    """The one fixed-gain loop gives the unrolled per-variant loops' bytes."""
+
+    @pytest.mark.parametrize("row", FIXED_GAIN_ROWS, ids=row_id)
+    def test_published_and_perturbed_gains(self, row):
+        dt = row.dt_ms / 1000.0
+        rng = np.random.default_rng(int(row.dt_ms) * 100 + len(row.variant))
+        specs = [F.make_filter(row.variant, row.params, dt)]
+        while len(specs) < 4:  # perturbed gains that do not overflow
+            params = {name: value * (1.0 + 0.2 * rng.standard_normal())
+                      + 1e-4 * rng.standard_normal() for name, value in row.params.items()}
+            spec = F.make_filter(row.variant, params, dt)
+            if F.check_stability(spec).max_magnitude < 1.0:
+                specs.append(spec)
+        for spec in specs:
+            for n in (1, 2, 3, 400, 5000):
+                assert_same_bytes(spec, *random_streams(n, n))
+
+    @pytest.mark.parametrize("variant", F.FIXED_GAIN_VARIANTS)
+    def test_initial_state(self, variant):
+        spec = published_spec(variant)
+        rng = np.random.default_rng(17)
+        phi, rate = random_streams(400, 17)
+        for _ in range(3):
+            initial = F.FilterState(rng.normal(0.0, 3.0, spec.n_states))
+            assert_same_bytes(spec, phi, rate, initial)
+
+    def test_simulated_corrected_log(self):
+        _, log, params = simulate_rig(duration=10.0, dt=0.005, gyro_noise=0.17,
+                                      accel_noise=0.1, seed=21)
+        phi, rate = run_correction_arrays(log, params)
+        for row in FIXED_GAIN_ROWS:
+            if row.dt_ms == 5.0:
+                assert_same_bytes(F.make_filter(row.variant, row.params, 0.005), phi, rate)
+
+    def test_signed_zero_stream(self):
+        # The padded state adds +0.0 terms, so an exact -0.0 estimate can
+        # come out as +0.0 (e.g. wb on an all -0.0 stream); equal as values.
+        rng = np.random.default_rng(18)
+        for variant in F.FIXED_GAIN_VARIANTS:
+            spec = published_spec(variant)
+            for _ in range(5):
+                phi, rate = np.copysign(0.0, rng.standard_normal((2, 50)))
+                new = F.run_filter_arrays(spec, phi, rate)
+                old = unrolled_run_filter(spec, phi, rate)
+                assert np.array_equal(new, old) and not np.any(new)
+
+    @pytest.mark.parametrize("variant, params", [
+        ("wb", {"alpha": -0.5, "beta": 0.0001}),    # unrolled: inf held to the end
+        ("complementary", {"T_c": -0.0019}),        # unrolled: +-inf held to the end
+        ("wob", {"alpha": 0.0035, "beta": -9.03}),  # unrolled: one more inf, then nan
+        ("wa_b", {"alpha": -0.5, "beta": 0.3, "theta": 0.007}),  # no difference
+    ])
+    def test_overflow(self, variant, params):
+        # After an estimate overflows, a padded zero times inf gives nan
+        # where the unrolled loops could still hold +-inf; the estimates
+        # are non-finite at the same samples and the finite ones identical.
+        spec = F.make_filter(variant, params, 0.002)
+        phi, rate = random_streams(5000, 19)
+        with np.errstate(all="ignore"):
+            new = F.run_filter_arrays(spec, phi, rate)
+            old = unrolled_run_filter(spec, phi, rate)
+        finite = np.isfinite(old)
+        assert not finite.all()
+        assert np.array_equal(np.isfinite(new), finite)
+        assert new[finite].tobytes() == old[finite].tobytes()
+        differ = new.view(np.uint64) != old.view(np.uint64)
+        assert np.all(np.isnan(new[differ])) and np.all(np.isinf(old[differ]))
+
+
+class TestSteadyKalmanGainCap:
+    """With q2 = 0 the gain search never meets its tolerance: the published
+    Kalman rows' stability verdict is set by the iteration cap."""
+
+    @pytest.mark.parametrize("row", KALMAN_ROWS, ids=row_id)
+    def test_published_rows_stop_at_the_cap(self, row):
+        spec = F.make_filter(row.variant, row.params, row.dt_ms / 1000.0)
+        assert spec.params["q2"] == 0.0
+        gains = np.array(list(islice(F._kalman_gains(spec, F._initial_P(spec)),
+                                     F._RICCATI_MAX_ITER)))
+        change = np.abs(np.diff(gains, axis=0))
+        met = (change[:, 0] < F._RICCATI_TOL) & (change[:, 1] < F._RICCATI_TOL)
+        assert not met.any()
+        assert F.steady_kalman_gain(spec) == tuple(gains[-1])
+        # |k * k2| never grows: the bias gain decays at least like 1/k; it is
+        # flat for kalman, whose k1 has settled, while the kalman_star rows'
+        # k1 is still falling at the cap and k2 falls faster.
+        k = np.array([1000, 2000, 4000, 8000, 16000, 32000, F._RICCATI_MAX_ITER])
+        k_k2 = np.abs(k * gains[k - 1, 1])
+        assert np.all(np.diff(k_k2) <= 0.0)
+        if row.variant == F.KALMAN:
+            assert k_k2[1] / k_k2[-1] < 1.05
+
+    @pytest.mark.parametrize("row", KALMAN_ROWS, ids=row_id)
+    def test_verdict_is_one_minus_order_one_over_cap(self, row):
+        spec = F.make_filter(row.variant, row.params, row.dt_ms / 1000.0)
+        caps = (12_500, 25_000, 50_000)
+        margins = []
+        for cap in caps:
+            k1, k2 = F.steady_kalman_gain(spec, max_iter=cap)
+            fixed = replace(spec, variant=F.WB, K=np.array([[k1], [k2]]))
+            margins.append(1.0 - F.check_stability(fixed).max_magnitude)
+        assert margins[-1] == 1.0 - F.check_stability(spec).max_magnitude
+        for cap, margin in zip(caps, margins):
+            assert 1.0 <= margin * cap < 3.0
+        if row.variant == F.KALMAN:
+            # settled k1: the margin halves each time the cap doubles
+            for ratio in np.divide(margins[:-1], margins[1:]):
+                assert abs(ratio - 2.0) < 0.02

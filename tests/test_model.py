@@ -83,6 +83,14 @@ class TestSynthesizeGyro:
             GyroErrorModel(saturation=0.0)
 
 
+    @pytest.mark.parametrize("kwargs", [{"bias": float("nan")}, {"bias": float("-inf")},
+                                        {"noise_std": float("nan")}],
+                             ids=["bias_nan", "bias_-inf", "noise_std_nan"])
+    def test_non_finite_model_rejected(self, kwargs):
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
+            GyroErrorModel(**kwargs)
+
+
 class TestSynthesizeAccel:
     def test_vertical_stationary(self):
         params = rig_params(with_errors=False)
@@ -111,6 +119,17 @@ class TestSynthesizeAccel:
         ax, ay = synthesize_accel(RobotState(phi_dot=57.29577951308232),  # 1 rad/s
                                   AccelErrorModel(), params, np.random.default_rng(0))
         assert ay == pytest.approx(G - params.R, rel=1e-9)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bias_x": float("nan")}, "finite"),
+        ({"bias_y": float("inf")}, "finite"),
+        ({"scale_poly_x": (0.0, 0.0, float("nan"), 0.0, 0.0)}, "finite"),
+        ({"scale_poly_y": (float("-inf"),) + (0.0,) * 4}, "finite"),
+        ({"noise_std": float("nan")}, "noise_std"),
+    ], ids=["bias_x", "bias_y", "scale_poly_x", "scale_poly_y", "noise_std"])
+    def test_non_finite_model_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            AccelErrorModel(**kwargs)
 
 
 class TestSimulateRun:

@@ -297,6 +297,29 @@ class TestTuneFilter:
             tune_filter(variant, stream, ref_phi, 0.01, cfg, x0=[1e200, 1e200])
         assert filtered == []
 
+    @pytest.mark.parametrize("where", ["training", "verification"])
+    @pytest.mark.parametrize("defect", ["nan", "short"])
+    def test_bad_stream_rejected_before_search(self, noisy_stream, monkeypatch, where,
+                                               defect):
+        stream, ref_phi = noisy_stream
+        phi, rate = stream[0].copy(), stream[1]
+        if defect == "nan":
+            phi[7] = float("nan")
+        else:
+            rate = rate[:-1]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(tuning, "nelder_mead", no_search)
+        if where == "training":
+            args, verification = ((phi, rate), ref_phi), None
+        else:
+            args, verification = (stream, ref_phi), ((phi, rate), ref_phi)
+        with pytest.raises(ParameterError):
+            tune_filter("wb", *args, 0.01, x0=[0.00185, -0.00018],
+                        verification=verification)
+
     def test_default_seeds_cover_registry(self):
         # the one per-variant table kept outside filters must follow PARAMS
         assert _DEFAULT_X0.keys() == PARAMS.keys()
