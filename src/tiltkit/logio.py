@@ -1,6 +1,7 @@
 """Raw sensor logs and their on-disk CSV format.
 
-A raw log is stored column-wise (one numpy array per channel) so that a
+A raw log is stored column-wise (one numpy array per channel), and the
+readers parse rows with numpy's C reader (``np.loadtxt``), so that a
 multi-million-row file never materialises one Python object per row.
 Iteration and indexing hand out :class:`RawSample` views on demand.
 
@@ -18,13 +19,14 @@ Every writer goes through :func:`write_columns`.  Rows of ``log.csv`` and
 ``spectrum.csv`` end in LF.
 """
 
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from math import isfinite, nan
+from math import inf, isfinite, nan
 from typing import Optional
 
 import csv
+import warnings
+
 import numpy as np
 
 from .errors import OrderingError, ParameterError, ParseError
@@ -129,100 +131,90 @@ class TruthLog:
         return len(self.t)
 
 
-def _int_field(text, line_no, column):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", line=line_no, column=column) from None
+# Columns of a log that hold int64 pulse counts; their fields may be empty.
+_COUNTS = ("enc_count", "ref_count")
 
 
-def _float_field(text, line_no, column):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"expected a number, got {text!r}", line=line_no, column=column) from None
-    if not isfinite(value):
-        raise ParseError(f"expected a finite number, got {text!r}", line=line_no, column=column)
-    return value
+def _number(text, kind=float):
+    """``kind(text)``, refusing the ``_`` and non-ASCII digits numpy refuses."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
 
 
-def _csv_rows(path):
-    """Yield a CSV file's header row, then ``(line_no, fields)`` for each
-    non-empty row; raises ParseError for an empty file or a row whose field
-    count differs from the header's."""
+def _blank_attempts(path, ncols):
+    """The column sets to give converters for empty fields, one per read to
+    try: none; where a byte scan finds empty fields (all columns, or the last
+    if only last fields are); all, for whitespace-only or quoted ones."""
+    yield set()
+    inner = last = False
+    with open(path, "rb") as fh:
+        tail = b"\n"
+        while block := fh.read(1 << 16):
+            byte = np.frombuffer(tail + block, np.uint8)
+            comma, end = byte == ord(","), (byte == ord("\n")) | (byte == ord("\r"))
+            inner = inner or bool((comma[1:] & (comma | end)[:-1]).any())
+            last = last or bool((comma[:-1] & end[1:]).any())
+            tail = block[-1:]
+    if not inner and (last or tail == b",") and ncols > 1:
+        yield {ncols - 1}
+    yield set(range(ncols))
+
+
+def _blank_field(kind, flags):
+    """A converter for a column whose fields may be empty: an empty field
+    reads as 0 or NaN, and ``flags`` gets one "was empty" bool per row."""
+    def convert(text):
+        empty = not text.strip()
+        flags.append(empty)
+        return (0 if kind is int else nan) if empty else _number(text, kind)
+    return convert
+
+
+def _read_rows(path, log=False):
+    """A CSV file's header (checked and stripped for a log), its rows parsed
+    by ``np.loadtxt`` into a 2-d float array (for a log, a structured one
+    with int64 counts), and the empty-field flags of each converted column."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", line=1)
-        yield header
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
-            yield line_no, row
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise ParseError("empty file", line=1)
+    if log:
+        header = [h.strip() for h in header]
+        if header not in (CSV_HEADER, CSV_HEADER[:5]):
+            raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
+    dtype = np.dtype([(n, np.int64 if n in _COUNTS else float) for n in header] if log else float)
+    for columns in _blank_attempts(path, len(header)):
+        flags = {c: [] for c in columns if not log or header[c] in _COUNTS}
+        try:
+            with open(path, newline="") as fh, warnings.catch_warnings():
+                next(csv.reader(fh))
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                converters = {c: _blank_field(int if log else float, f) for c, f in flags.items()}
+                return header, np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"',
+                                          converters=converters, ndmin=1 if log else 2), flags
+        except (ValueError, OverflowError):
+            continue
+    _raise_first_bad_field(path, header, log)
 
 
 def parse_log(path):
     """Parse a raw-sample CSV into a :class:`RawLog`.
 
-    Rows are streamed into growable primitive arrays, so memory stays
-    proportional to the column data and never to per-row Python objects.
-    Raises :class:`ParseError` (line and column) for malformed rows and
-    non-finite numbers, :class:`OrderingError` if timestamps do not strictly increase.
+    numpy's C reader parses the rows; count fields reach Python only in a
+    file with empty fields.  Raises :class:`ParseError` (line and column)
+    for malformed rows and non-finite numbers, :class:`OrderingError` if
+    timestamps do not strictly increase.
     """
-    t = array("d")
-    gyro = array("d")
-    acc_x = array("d")
-    acc_y = array("d")
-    enc = array("q")
-    ref = array("q")
-    enc_missing = array("b")
-    any_ref = False
-
-    rows = _csv_rows(path)
-    header = [h.strip() for h in next(rows)]
-    if header not in (CSV_HEADER, CSV_HEADER[:5]):
-        raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
-    has_ref_col = len(header) == 6
-
-    prev_t = None
-    for line_no, row in rows:
-        tv = _float_field(row[0], line_no, "t")
-        if prev_t is not None and tv <= prev_t:
-            raise OrderingError(f"t={tv!r} does not increase past {prev_t!r}",
-                                line=line_no, column="t")
-        prev_t = tv
-        t.append(tv)
-        gyro.append(_float_field(row[1], line_no, "gyro_dps"))
-        acc_x.append(_float_field(row[2], line_no, "acc_x_mps2"))
-        acc_y.append(_float_field(row[3], line_no, "acc_y_mps2"))
-        enc_text = row[4].strip()
-        if enc_text == "":
-            enc.append(0)
-            enc_missing.append(1)
-        else:
-            enc.append(_int_field(enc_text, line_no, "enc_count"))
-            enc_missing.append(0)
-        if has_ref_col:
-            ref_text = row[5].strip()
-            if ref_text == "":
-                ref.append(0)
-            else:
-                ref.append(_int_field(ref_text, line_no, "ref_count"))
-                any_ref = True
-
-    n = len(t)
-    return RawLog(
-        np.frombuffer(t, dtype=float) if n else np.empty(0),
-        np.frombuffer(gyro, dtype=float) if n else np.empty(0),
-        np.frombuffer(acc_x, dtype=float) if n else np.empty(0),
-        np.frombuffer(acc_y, dtype=float) if n else np.empty(0),
-        np.frombuffer(enc, dtype=np.int64) if n else np.empty(0, dtype=np.int64),
-        np.frombuffer(ref, dtype=np.int64) if any_ref else None,
-        np.frombuffer(enc_missing, dtype=np.int8).astype(bool) if n else None,
-    )
+    header, rows, flags = _read_rows(path, log=True)
+    if (not all(np.isfinite(rows[name]).all() for name in header[:4])
+            or (np.diff(rows["t"]) <= 0).any()):
+        _raise_first_bad_field(path, header, log=True)
+    # As write_log writes it: no ref_count when no field holds one.
+    ref_given = len(header) == 6 and len(rows) and not all(flags.get(5, [False]))
+    return RawLog(*(np.ascontiguousarray(rows[name]) for name in header[:5]),
+                  np.ascontiguousarray(rows["ref_count"]) if ref_given else None,
+                  np.array(flags[4], dtype=bool) if 4 in flags else None)
 
 
 # Rows formatted per write.  Formatting a whole column at once would hold a
@@ -280,37 +272,45 @@ def read_columns(path):
 
     Empty fields become NaN.  Raises :class:`ParseError` (line and column)
     for a field that is not a number or is a non-finite one.  Used by the
-    ``eval`` and ``spectrum`` commands and by round-trip tests.
+    ``eval`` and ``spectrum`` commands and by round-trip tests.  Parsed as
+    :func:`parse_log` is, with converters only where fields are empty.
     """
-    rows = _csv_rows(path)
-    header = next(rows)
-    cols = {name: array("d") for name in header}
-    blanks = dict.fromkeys(header, 0)
-    try:
-        for _, row in rows:
-            for name, text in zip(header, row):
-                if text.strip() != "":
-                    cols[name].append(float(text))
-                else:
-                    cols[name].append(nan)
-                    blanks[name] += 1
-    except ValueError:
-        _raise_first_bad_field(path)
-    out = {name: (np.frombuffer(vals, dtype=float) if len(vals) else np.empty(0))
-           for name, vals in cols.items()}
+    header, rows, flags = _read_rows(path)
+    if not len(rows):
+        return {name: np.empty(0) for name in header}
     # Every non-finite value must come from an empty field.
-    if any(np.count_nonzero(~np.isfinite(out[name])) != blanks[name] for name in out):
-        _raise_first_bad_field(path)
-    return out
+    if rows.shape[1] != len(header) or not all(
+            (np.isfinite(rows[:, c]) | flags.get(c, False)).all() for c in range(len(header))):
+        _raise_first_bad_field(path, header)
+    return dict(zip(header, rows.T.copy()))
 
 
-def _raise_first_bad_field(path):
-    """Re-read a CSV and raise ParseError for its first non-empty field
-    that is not a finite number."""
-    rows = _csv_rows(path)
-    header = next(rows)
-    for line_no, row in rows:
-        for name, text in zip(header, row):
-            if text.strip() != "":
-                _float_field(text, line_no, name)
-    raise ParseError("a field changed to a non-finite number while being read")
+def _raise_first_bad_field(path, names, log=False):
+    """Re-read a CSV file that numpy refused, a row at a time, and raise
+    ParseError (line and column) for its first bad row or field.  Fields
+    may be empty or finite numbers; in a log only counts may be empty, they
+    must be int64 integers, and ``t`` must increase (OrderingError)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        prev_t = -inf
+        for line_no, row in enumerate(reader, start=2):
+            if row and len(row) != len(names):
+                raise ParseError(f"expected {len(names)} fields, got {len(row)}", line=line_no)
+            for name, text in zip(names, row):
+                count = log and name in _COUNTS
+                if not text.strip() and (count or not log):
+                    continue
+                try:
+                    value = _number(text, int if count else float)
+                except ValueError:
+                    value = nan
+                if not (-2 ** 63 <= value < 2 ** 63 if count else isfinite(value)):
+                    raise ParseError(f"expected {'an int64 integer' if count else 'a finite number'}"
+                                     f", got {text!r}", line=line_no, column=name)
+                if log and name == "t":
+                    if value <= prev_t:
+                        raise OrderingError(f"t={value!r} does not increase past {prev_t!r}",
+                                            line=line_no, column="t")
+                    prev_t = value
+    raise ParseError("numpy refused a field that float() accepts, or the file changed")

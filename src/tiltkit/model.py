@@ -27,7 +27,7 @@ independent runs (distinct seeds) can execute concurrently.
 """
 
 from dataclasses import dataclass, field
-from math import cos, floor, isfinite, pi, radians, sin
+from math import cos, floor, inf, isfinite, pi, radians, sin
 from typing import Callable
 
 import numpy as np
@@ -68,8 +68,8 @@ class GyroErrorModel:
     def __post_init__(self):
         if not isfinite(self.bias):
             raise ParameterError(f"bias must be finite, got {self.bias!r}")
-        if not self.noise_std >= 0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std!r}")
+        if not 0 <= self.noise_std < inf:
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if not self.saturation > 0:
             raise ParameterError("saturation must be positive")
 
@@ -93,8 +93,8 @@ class AccelErrorModel:
         values = (self.bias_x, self.bias_y, *self.scale_poly_x, *self.scale_poly_y)
         if not all(map(isfinite, values)):
             raise ParameterError(f"biases and scale coefficients must be finite, got {values}")
-        if not self.noise_std >= 0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std!r}")
+        if not 0 <= self.noise_std < inf:
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if not self.saturation > 0:
             raise ParameterError("saturation must be positive")
         if len(self.scale_poly_x) != 5 or len(self.scale_poly_y) != 5:

@@ -5,13 +5,19 @@ directly; the textbook Kalman filter is a plain matrix-form implementation;
 the unrolled fixed-gain loops keep one recurrence per variant, each with
 its own term order; the shadow simulator generates one sample at a time
 and runs the streaming correction step on each; the row-wise CSV writers
-format one row at a time, through ``csv.writer`` for the logs.  All stay
-deliberately separate from the package code paths they check.
+format one row at a time, through ``csv.writer`` for the logs; the
+row-wise CSV readers parse one field at a time with ``float``/``int``
+into growable ``array.array`` columns.  All stay deliberately separate
+from the package code paths they check.
 """
 
 import csv
+from array import array
+from math import isfinite, nan
 
 import numpy as np
+
+from tiltkit.errors import OrderingError, ParseError
 
 
 def two_phase_wob(x, y_phi, y_rate, dt, alpha, beta):
@@ -281,3 +287,127 @@ def rowwise_spectrum_csv(path, frequencies, magnitudes):
         fh.write("frequency_hz,magnitude\n")
         for f, m in zip(frequencies, magnitudes):
             fh.write(f"{float(f)!r},{float(m)!r}\n")
+
+
+def _rowwise_int_field(text, line_no, column):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}", line=line_no, column=column) from None
+
+
+def _rowwise_float_field(text, line_no, column):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"expected a number, got {text!r}", line=line_no, column=column) from None
+    if not isfinite(value):
+        raise ParseError(f"expected a finite number, got {text!r}", line=line_no, column=column)
+    return value
+
+
+def _rowwise_csv_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", line=1)
+        yield header
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+            yield line_no, row
+
+
+def rowwise_parse_log(path):
+    """``parse_log`` streaming each field through ``float``/``int`` into
+    ``array.array`` columns, one row at a time."""
+    from tiltkit.logio import CSV_HEADER, RawLog
+
+    t = array("d")
+    gyro = array("d")
+    acc_x = array("d")
+    acc_y = array("d")
+    enc = array("q")
+    ref = array("q")
+    enc_missing = array("b")
+    any_ref = False
+
+    rows = _rowwise_csv_rows(path)
+    header = [h.strip() for h in next(rows)]
+    if header not in (CSV_HEADER, CSV_HEADER[:5]):
+        raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
+    has_ref_col = len(header) == 6
+
+    prev_t = None
+    for line_no, row in rows:
+        tv = _rowwise_float_field(row[0], line_no, "t")
+        if prev_t is not None and tv <= prev_t:
+            raise OrderingError(f"t={tv!r} does not increase past {prev_t!r}",
+                                line=line_no, column="t")
+        prev_t = tv
+        t.append(tv)
+        gyro.append(_rowwise_float_field(row[1], line_no, "gyro_dps"))
+        acc_x.append(_rowwise_float_field(row[2], line_no, "acc_x_mps2"))
+        acc_y.append(_rowwise_float_field(row[3], line_no, "acc_y_mps2"))
+        enc_text = row[4].strip()
+        if enc_text == "":
+            enc.append(0)
+            enc_missing.append(1)
+        else:
+            enc.append(_rowwise_int_field(enc_text, line_no, "enc_count"))
+            enc_missing.append(0)
+        if has_ref_col:
+            ref_text = row[5].strip()
+            if ref_text == "":
+                ref.append(0)
+            else:
+                ref.append(_rowwise_int_field(ref_text, line_no, "ref_count"))
+                any_ref = True
+
+    n = len(t)
+    return RawLog(
+        np.frombuffer(t, dtype=float) if n else np.empty(0),
+        np.frombuffer(gyro, dtype=float) if n else np.empty(0),
+        np.frombuffer(acc_x, dtype=float) if n else np.empty(0),
+        np.frombuffer(acc_y, dtype=float) if n else np.empty(0),
+        np.frombuffer(enc, dtype=np.int64) if n else np.empty(0, dtype=np.int64),
+        np.frombuffer(ref, dtype=np.int64) if any_ref else None,
+        np.frombuffer(enc_missing, dtype=np.int8).astype(bool) if n else None,
+    )
+
+
+def rowwise_read_columns(path):
+    """``read_columns`` appending each field's ``float`` to an
+    ``array.array`` column, one row at a time."""
+    rows = _rowwise_csv_rows(path)
+    header = next(rows)
+    cols = {name: array("d") for name in header}
+    blanks = dict.fromkeys(header, 0)
+    try:
+        for _, row in rows:
+            for name, text in zip(header, row):
+                if text.strip() != "":
+                    cols[name].append(float(text))
+                else:
+                    cols[name].append(nan)
+                    blanks[name] += 1
+    except ValueError:
+        _rowwise_raise_first_bad_field(path)
+    out = {name: (np.frombuffer(vals, dtype=float) if len(vals) else np.empty(0))
+           for name, vals in cols.items()}
+    if any(np.count_nonzero(~np.isfinite(out[name])) != blanks[name] for name in out):
+        _rowwise_raise_first_bad_field(path)
+    return out
+
+
+def _rowwise_raise_first_bad_field(path):
+    rows = _rowwise_csv_rows(path)
+    header = next(rows)
+    for line_no, row in rows:
+        for name, text in zip(header, row):
+            if text.strip() != "":
+                _rowwise_float_field(text, line_no, name)
+    raise ParseError("a field changed to a non-finite number while being read")

@@ -172,6 +172,15 @@ class TestCommands:
         assert "nan" in capsys.readouterr().err
         assert not (out / "log.csv").exists()
 
+    @pytest.mark.parametrize("key", ["gyro_noise_std_dps", "accel_noise_std_mps2"])
+    def test_simulate_infinite_noise_exit_4(self, tmp_path, capsys, key):
+        cfg_path, _ = write_config(tmp_path, **{key: float("inf")})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONTRACT
+        assert "noise_std" in capsys.readouterr().err
+        assert not (out / "log.csv").exists()
+
     def test_run_non_finite_corrected_stream_exit_4(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         out = tmp_path / "out"
@@ -193,6 +202,20 @@ class TestCommands:
         bad.write_text("t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n0,0,0,9.8,1.5,0\n")
         assert main(["run", "--config", str(cfg_path), "--log", str(bad),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("enc, ref", [("9223372036854775808", "0"),
+                                          ("1", "-9223372036854775809"),
+                                          ("9223372036854775808", "")])
+    def test_out_of_range_count_exit_3(self, tmp_path, capsys, enc, ref):
+        cfg_path, _ = write_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
+                       f"0,0,0,9.8,0,0\n0.01,0,0,9.8,{enc},{ref}\n")
+        assert main(["run", "--config", str(cfg_path), "--log", str(bad),
+                     "--out", str(tmp_path / "est")]) == 3
+        column = "enc_count" if enc != "1" else "ref_count"
+        assert f"line 3, column {column}" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
 
     def test_non_finite_log_exit_3(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

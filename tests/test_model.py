@@ -90,6 +90,10 @@ class TestSynthesizeGyro:
         with pytest.raises(ParameterError, match=next(iter(kwargs))):
             GyroErrorModel(**kwargs)
 
+    def test_infinite_noise_rejected(self):
+        with pytest.raises(ParameterError, match="noise_std"):
+            GyroErrorModel(noise_std=float("inf"))
+
 
 class TestSynthesizeAccel:
     def test_vertical_stationary(self):
@@ -130,6 +134,10 @@ class TestSynthesizeAccel:
     def test_non_finite_model_rejected(self, kwargs, message):
         with pytest.raises(ParameterError, match=message):
             AccelErrorModel(**kwargs)
+
+    def test_infinite_noise_rejected(self):
+        with pytest.raises(ParameterError, match="noise_std"):
+            AccelErrorModel(noise_std=float("inf"))
 
 
 class TestSimulateRun:

@@ -1,0 +1,398 @@
+"""The CSV readers against their row-wise oracles, and CSV round trips.
+
+``parse_log`` and ``read_columns`` parse rows with numpy's C reader;
+``tests/oracles.py`` keeps the former readers, which parse one field at a
+time with ``float``/``int``.  Arrays are compared by their bytes, errors
+by (type, line, column).
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import rowwise_parse_log, rowwise_read_columns
+from tiltkit.errors import OrderingError, ParseError, TiltkitError
+from tiltkit.logio import CSV_HEADER, RawLog, parse_log, read_columns, write_columns, write_log
+
+H6 = ",".join(CSV_HEADER)
+H5 = ",".join(CSV_HEADER[:5])
+
+
+def lines(header, *rows, end="\n"):
+    return "".join(line + end for line in (header,) + rows)
+
+
+def _bytes(array):
+    if array is None:
+        return None
+    return (array.dtype.str, array.shape, array.flags.c_contiguous, array.flags.writeable,
+            array.tobytes())
+
+
+def outcome(read, path):
+    """A reader's result as bytes per column, or its error's (type, line, column)."""
+    try:
+        result = read(path)
+    except TiltkitError as exc:
+        return type(exc), exc.line, exc.column
+    if isinstance(result, RawLog):
+        return {name: _bytes(getattr(result, name))
+                for name in ("t", "gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count",
+                             "ref_count", "enc_missing")}
+    return {name: _bytes(column) for name, column in result.items()}
+
+
+ROW = "0.0,1.5,-0.25,9.8,3,4"
+ROWS = ("0.0,1.5,-0.25,9.8,3,4", "0.002,1.25,-0.5,9.75,-2,5", "0.004,1.0,0.0,9.7,0,-1")
+
+# Raw-log files, each read by both readers.
+LOG_FILES = {
+    "empty_file": "",
+    "header_only": lines(H6),
+    "header_only_no_line_end": H6,
+    "header_only_blank_lines": lines(H6, "", "", end="\r\n"),
+    "header5_only": lines(H5),
+    "lf": lines(H6, *ROWS),
+    "crlf": lines(H6, *ROWS, end="\r\n"),
+    "mixed_line_ends": H6 + "\r\n" + ROWS[0] + "\n" + ROWS[1] + "\r\n" + ROWS[2],
+    "blank_line_between": lines(H6, ROWS[0], "", ROWS[1], "", "", ROWS[2]),
+    "blank_crlf_line_between": lines(H6, ROWS[0], "", ROWS[1], end="\r\n"),
+    "quoted_fields": lines(H6, '"0.0","1.5","-0.25","9.8","3","4"', '0.1,"2",3,4,"-5",6'),
+    "quoted_header": lines('"t","gyro_dps","acc_x_mps2","acc_y_mps2","enc_count","ref_count"',
+                           *ROWS),
+    "quoted_empty_counts": lines(H6, '0.0,1,2,3,"",""', '0.1,1,2,3,"",7'),
+    "quoted_empty_float": lines(H6, '0.0,"",2,3,1,1'),
+    "spaces_around_fields": lines(H6, " 0.0 , 1.5 ,\t-0.25\t, 9.8 , 3 , -4 "),
+    "spaced_header": lines(" t , gyro_dps,acc_x_mps2 ,acc_y_mps2,enc_count, ref_count ", ROW),
+    "whitespace_only_counts": lines(H6, "0.0,1,2,3, ,\t", "0.1,1,2,3,\t\t,  "),
+    "whitespace_only_float": lines(H6, "0.0,1, ,3,1,1"),
+    "enc_blank_no_row": lines(H6, *ROWS),
+    "enc_blank_some_rows": lines(H6, ROWS[0], "0.002,1,2,3,,5", ROWS[2]),
+    "enc_blank_every_row": lines(H6, "0.0,1,2,3,,1", "0.1,1,2,3,,2"),
+    "ref_blank_some_rows": lines(H6, ROWS[0], "0.002,1,2,3,4,", ROWS[2]),
+    "ref_blank_every_row": lines(H6, "0.0,1,2,3,1,", "0.1,1,2,3,2,", end="\r\n"),
+    "ref_blank_last_row_no_line_end": lines(H6, ROWS[0]) + "0.1,1,2,3,2,",
+    "both_blank_every_row": lines(H6, "0.0,1,2,3,,", "0.1,1,2,3,,"),
+    "both_blank_some_rows": lines(H6, "0.0,1,2,3,,", ROWS[1], "0.1,1,2,3,,7"),
+    "header5": lines(H5, "0.0,1,2,3,4", "0.1,1,2,3,-4"),
+    "header5_enc_blank_some_rows": lines(H5, "0.0,1,2,3,4", "0.1,1,2,3,", end="\r\n"),
+    "header5_enc_blank_every_row": lines(H5, "0.0,1,2,3,", "0.1,1,2,3,"),
+    "extreme_values": lines(H6, "-0.0,5e-324,1e16,-1e16,-9223372036854775808,9223372036854775807",
+                            "5e-324,-5e-324,9999999999999998.0,1e-05,-7,-0"),
+    "number_syntax": lines(H6, "+0.5,.5,5.,1E5,+3,007", "1e1,1e-400,-.0,0.0001,-0,+0"),
+    "hash_row": lines(H6, ROWS[0], "#" + ROWS[1]),
+    "short_row": lines(H6, ROWS[0], "0.1,1,2,3,4"),
+    "long_row": lines(H6, ROWS[0], "0.1,1,2,3,4,5,6"),
+    "every_row_short": lines(H6, "0.0,1,2,3,4", "0.1,1,2,3,4"),
+    "every_row_long": lines(H6, "0.0,1,2,3,4,5,6", "0.1,1,2,3,4,5,6"),
+    "trailing_comma_rows": lines(H6, "0.0,1,2,3,4,5,", "0.1,1,2,3,4,5,"),
+    "short_rows_ending_blank": lines(H6, "0.0,1,", "0.1,1,"),
+    "nan_t": lines(H6, ROWS[0], "nan,1,2,3,4,5"),
+    "inf_gyro": lines(H6, ROWS[0], "0.1,inf,2,3,4,5"),
+    "minus_inf_acc_x": lines(H6, ROWS[0], "0.1,1,-inf,3,4,5"),
+    "nan_acc_y_with_blank_ref": lines(H6, "0.0,1,2,3,4,", "0.1,1,2,NaN,4,"),
+    "infinity_word": lines(H6, "0.0,1,2,3,4,5", "0.1,Infinity,2,3,4,5"),
+    "overflowing_float": lines(H6, "0.0,1e400,2,3,4,5"),
+    "not_a_number": lines(H6, ROWS[0], "0.1,1,2,abc,4,5"),
+    "blank_float": lines(H6, "0.0,,2,3,4,5"),
+    "blank_t": lines(H6, ",1,2,3,4,5"),
+    "fractional_enc": lines(H6, "0.0,1,2,3,1.5,0"),
+    "exponent_count": lines(H6, "0.0,1,2,3,1,1e3"),
+    "hex_count": lines(H6, "0.0,1,2,3,0x10,1"),
+    "count_with_blank_elsewhere": lines(H6, "0.0,1,2,3,1.5,", "0.1,1,2,3,,"),
+    "unordered_t": lines(H6, ROWS[1], ROWS[0]),
+    "equal_t": lines(H6, ROWS[0], ROWS[0]),
+    "unordered_t_and_bad_field_same_row": lines(H6, ROWS[1], "0.0,x,2,3,4,5"),
+    "bad_field_before_unordered_t": lines(H6, "0.0,x,2,3,4,5", ROWS[0]),
+    "unordered_t_after_blank_line": lines(H6, ROWS[1], "", ROWS[0], end="\r\n"),
+    "bad_header": lines("time,gyro", "0,1"),
+    "quoted_line_end_in_count": lines(H6, '0.0,1,2,3,"4\n",5'),
+}
+
+# Files that only read_columns takes: any header, any field may be empty.
+COLUMN_FILES = {
+    "one_column": lines("a", "1", "", "2"),
+    "one_column_whitespace_line": lines("a", "1", "  ", "2"),
+    "leading_blank": lines("a,b", ",1", "2,3"),
+    "trailing_blank": lines("a,b", "1,", "2,3"),
+    "inner_blank": lines("a,b,c", "1,,3", "4,5,6"),
+    "all_blank_row": lines("a,b", ",", "1,2"),
+    "quoted_empty": lines("a,b", '"",1', "2,3"),
+    "whitespace_only_field": lines("a,b", " ,1", "2,\t"),
+    "nan_in_column_without_blank": lines("a,b", "1,", "nan,2"),
+    "nan_in_column_with_blank": lines("a,b", "1,", "2,nan"),
+    "inf_without_blank": lines("a,b", "1,2", "inf,2"),
+    "spaced_nan": lines("a,b", ",", "0.2, NaN "),
+    "more_fields_than_header": lines("a,b", "1,2,3"),
+    "fewer_fields_than_header": lines("a,b,c", "1,2"),
+    "blank_header_row": "\na\n1\n",
+    "header_only_two_columns": lines("a,b"),
+    "spaced_header_names": lines(" a ,b", "1,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_FILES))
+def test_parse_log_matches_rowwise(tmp_path, name):
+    path = tmp_path / "log.csv"
+    path.write_bytes(LOG_FILES[name].encode())
+    assert outcome(parse_log, path) == outcome(rowwise_parse_log, path)
+
+
+@pytest.mark.parametrize("name", sorted(LOG_FILES) + sorted(COLUMN_FILES))
+def test_read_columns_matches_rowwise(tmp_path, name):
+    path = tmp_path / "cols.csv"
+    path.write_bytes({**LOG_FILES, **COLUMN_FILES}[name].encode())
+    assert outcome(read_columns, path) == outcome(rowwise_read_columns, path)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (lines(H6, "0.0,1_0,2,3,4,5"), 2, "gyro_dps"),
+    (lines(H6, ROW, "0.1,1,2,3,1_0,5"), 3, "enc_count"),
+    (lines(H6, "0.0,1,2,3,,1_0"), 2, "ref_count"),
+    (lines(H6, "0.0,1,2,3,4,١"), 2, "ref_count"),
+], ids=["float", "count", "count_in_file_with_blank", "non_ascii_digit"])
+def test_parse_log_refuses_digit_grouping(tmp_path, text, line, column):
+    # Deliberately stricter than float()/int(), which the row-wise reader
+    # used: numpy's parser refuses "1_0" and non-ASCII digits, and so do
+    # the error locator and the converters for empty fields.
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    assert isinstance(outcome(rowwise_parse_log, path), dict)
+    assert outcome(parse_log, path) == (ParseError, line, column)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (lines("a,b", "1,1_0"), 2, "b"),
+    (lines("a,b", ",1", "1_0,2"), 3, "a"),
+], ids=["file_without_blank", "file_with_blank"])
+def test_read_columns_refuses_digit_grouping(tmp_path, text, line, column):
+    path = tmp_path / "cols.csv"
+    path.write_text(text)
+    assert isinstance(outcome(rowwise_read_columns, path), dict)
+    assert outcome(read_columns, path) == (ParseError, line, column)
+
+
+def test_read_columns_names_first_bad_row(tmp_path):
+    # A non-finite field before a malformed row: the row-wise reader named
+    # the malformed row, which its first pass met first; the error is now
+    # the first bad row in file order.
+    path = tmp_path / "cols.csv"
+    path.write_text(lines("a,b", "0,nan", "0,1,2"))
+    assert outcome(rowwise_read_columns, path) == (ParseError, 3, None)
+    assert outcome(read_columns, path) == (ParseError, 2, "b")
+
+
+@pytest.mark.parametrize("row, column", [
+    ("0.0,0,0,9.8,9223372036854775808,0", "enc_count"),
+    ("0.0,0,0,9.8,-9223372036854775809,0", "enc_count"),
+    ("0.0,0,0,9.8,0,99999999999999999999", "ref_count"),
+    ("0.0,0,0,9.8,,9223372036854775808", "ref_count"),
+    ("0.0,0,0,9.8,9223372036854775808,", "enc_count"),
+], ids=["enc_above", "enc_below", "ref_above", "ref_beside_blank_enc", "enc_beside_blank_ref"])
+def test_out_of_range_count_raises_parse_error(tmp_path, row, column):
+    path = tmp_path / "log.csv"
+    path.write_text(lines(H6, "-1.0,0,0,9.8,0,0", row))
+    with pytest.raises(ParseError) as exc:
+        parse_log(path)
+    assert (exc.value.line, exc.value.column) == (3, column)
+
+
+def _python_calls(read, path):
+    """Python function calls made while ``read(path)`` runs, after a first
+    call that leaves out one-time imports."""
+    read(path)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        read(path)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("read", [parse_log, read_columns])
+def test_no_python_call_per_field(tmp_path, read):
+    # 2,000 rows of 6 fields: without an empty field no field reaches
+    # Python.  With an empty ref_count on every row, or only on the last
+    # row of a file without a final line end, only that column does: one
+    # converter call per row, plus a number parse for each full field.  A
+    # read makes a fixed number of calls besides: numpy's own, and the scan
+    # for empty fields after a refused read.
+    n, fixed = 2000, 200
+    path = tmp_path / "log.csv"
+    full = [f"{k * 0.002!r},1.5,-0.25,9.8,{k},{k}" for k in range(n)]
+    path.write_text(lines(H6, *full))
+    assert _python_calls(read, path) < fixed
+    path.write_text(lines(H6, *(row[:row.rindex(",") + 1] for row in full)))
+    assert n <= _python_calls(read, path) < n + fixed
+    path.write_text(lines(H6, *full[:-1]) + full[-1][:full[-1].rindex(",") + 1])
+    assert 2 * n - 1 <= _python_calls(read, path) < 2 * n + fixed
+
+
+# --- property tests ---------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                           HealthCheck.too_slow])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+int64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+def _draw_log(draw):
+    """Columns of a raw log with strictly increasing t, and how to write its
+    ref_count column."""
+    t = np.unique(np.array(draw(st.lists(finite, max_size=25)), dtype=float))
+    n = len(t)
+    floats = st.lists(finite, min_size=n, max_size=n)
+    counts = st.lists(int64, min_size=n, max_size=n)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    return dict(
+        t=t,
+        gyro=np.array(draw(floats), dtype=float),
+        acc_x=np.array(draw(floats), dtype=float),
+        acc_y=np.array(draw(floats), dtype=float),
+        enc=np.array(draw(counts), dtype=np.int64),
+        missing=np.array(draw(flags), dtype=bool),
+        ref=np.array(draw(counts), dtype=np.int64),
+        ref_blank=np.array(draw(flags), dtype=bool),
+        ref_mode=draw(st.sampled_from(["absent", "full", "partly", "no_column"])),
+    )
+
+
+@PROPERTY
+@given(data=st.data())
+def test_write_log_parse_log_round_trip(tmp_path, data):
+    c = _draw_log(data.draw)
+    path = tmp_path / "log.csv"
+    mode = c["ref_mode"]
+    if mode in ("absent", "full"):
+        write_log(path, RawLog(c["t"], c["gyro"], c["acc_x"], c["acc_y"], c["enc"],
+                               c["ref"] if mode == "full" else None, c["missing"]))
+    else:
+        write_columns(path, CSV_HEADER if mode == "partly" else CSV_HEADER[:5],
+                      (c["t"], c["gyro"], c["acc_x"], c["acc_y"], (c["enc"], c["missing"]))
+                      + (((c["ref"], c["ref_blank"]),) if mode == "partly" else ()), "\r\n")
+    back = parse_log(path)
+    for name, key in (("t", "t"), ("gyro_dps", "gyro"), ("acc_x_mps2", "acc_x"),
+                      ("acc_y_mps2", "acc_y"), ("enc_missing", "missing")):
+        assert _bytes(getattr(back, name)) == _bytes(c[key]), name
+    assert _bytes(back.enc_count) == _bytes(np.where(c["missing"], 0, c["enc"]))
+    given_ref = {"full": np.ones(len(c["t"]), bool), "partly": ~c["ref_blank"]}.get(mode)
+    if given_ref is None or not given_ref.any():
+        assert back.ref_count is None
+    else:
+        assert _bytes(back.ref_count) == _bytes(np.where(given_ref, c["ref"], 0))
+    assert outcome(parse_log, path) == outcome(rowwise_parse_log, path)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_write_columns_read_columns_round_trip(tmp_path, data):
+    k = data.draw(st.integers(1, 5), label="columns")
+    n = data.draw(st.integers(0, 25), label="rows")
+    values = [np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
+              for _ in range(k)]
+    # write_columns takes its row count from a plain first column
+    blank = [np.zeros(n, bool)] + [
+        np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        for _ in range(k - 1)]
+    names = [f"c{i}" for i in range(k)]
+    path = tmp_path / "cols.csv"
+    write_columns(path, names, [values[0]] + list(zip(values[1:], blank[1:])))
+    back = read_columns(path)
+    assert list(back) == names
+    for name, v, b in zip(names, values, blank):
+        assert _bytes(back[name]) == _bytes(np.where(b, np.nan, v)), name
+    assert outcome(read_columns, path) == outcome(rowwise_read_columns, path)
+
+
+def _decorated(text):
+    return st.sampled_from([text, f" {text} ", f'"{text}"', f"\t{text}", f"{text} "])
+
+
+good_float = finite.map(repr).flatmap(_decorated)
+good_count = int64.map(str).flatmap(_decorated)
+blank_field = st.sampled_from(["", " ", "\t", '""', '" "'])
+bad_field = st.sampled_from(["abc", "nan", " NaN ", "inf", "-inf", "Infinity", "1e400", "",
+                             " ", "1.5", "1e3", "0x10", "#1", "1,5", "--1", "1.5.5"])
+
+
+@st.composite
+def messy_file(draw, log):
+    """A CSV file text: valid rows in mixed field syntax, line ends and
+    blank lines, with at most one fault (a bad field, a missing or extra
+    field, or for a log a repeated timestamp)."""
+    if log:
+        header = CSV_HEADER[:draw(st.sampled_from([5, 6]))]
+    else:
+        header = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    n = draw(st.integers(0, 12))
+    rows = []
+    for k in range(n):
+        row = []
+        for c, name in enumerate(header):
+            if log and name == "t":
+                row.append(draw(_decorated(repr(k * 0.002 - 0.01))))
+            elif log and name in ("enc_count", "ref_count"):
+                row.append(draw(st.one_of(good_count, blank_field)))
+            elif log:
+                row.append(draw(good_float))
+            else:
+                row.append(draw(st.one_of(good_float, blank_field)))
+        rows.append(row)
+    if rows and draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["field", "drop", "extra", "repeat_t"]))
+        if kind == "field":
+            rows[r][draw(st.integers(0, len(header) - 1))] = draw(bad_field)
+        elif kind == "drop":
+            rows[r].pop()
+        elif kind == "extra":
+            rows[r].append(draw(good_float))
+        elif log and r > 0:
+            rows[r][0] = rows[r - 1][0]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ",".join(header) + end
+    for row in rows:
+        text += end * draw(st.integers(0, 1)) + ",".join(row) + end
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@PROPERTY
+@given(text=messy_file(log=True))
+def test_parse_log_matches_rowwise_on_messy_files(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    assert outcome(parse_log, path) == outcome(rowwise_parse_log, path)
+
+
+@PROPERTY
+@given(text=messy_file(log=False))
+def test_read_columns_matches_rowwise_on_messy_files(tmp_path, text):
+    path = tmp_path / "cols.csv"
+    path.write_bytes(text.encode())
+    assert outcome(read_columns, path) == outcome(rowwise_read_columns, path)
+
+
+def test_messy_files_reach_every_outcome(tmp_path):
+    # the generator must yield accepted files, ParseErrors and OrderingErrors
+    seen = set()
+    path = tmp_path / "log.csv"
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(text=messy_file(log=True))
+    def collect(text):
+        path.write_bytes(text.encode())
+        result = outcome(parse_log, path)
+        seen.add(dict if isinstance(result, dict) else result[0])
+
+    collect()
+    assert seen == {dict, ParseError, OrderingError}
