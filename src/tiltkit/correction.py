@@ -9,14 +9,16 @@ produces the corrected tilt ``phi_bar`` and corrected rate ``rate_bar``.
 Angle convention: degrees end to end.  Radians appear only inside the
 motion terms, converted with pi/180.
 
-Each formula is written once, in a scalar helper.  :func:`correct_columns`
-is the whole-log kernel: its elementwise stages call the helpers on
-float64 columns, the two low-pass recurrences iterate :func:`lowpass_step`
-over plain floats, and one sequential loop is left for the tilt feedback,
-whose translational projection uses the previous corrected tilt.  The
-simulator shares its motion pre-pass, :func:`motion_columns`.
-:func:`correction_pipeline_step` is the one-sample streaming reference;
-the kernel returns its values bit for bit.
+Each formula has one scalar helper.  :func:`correct_columns` is the
+whole-log kernel: its elementwise stages call the helpers on float64
+columns.  Its two sequential parts, the low-pass recurrences and
+the tilt feedback (whose translational projection uses the previous
+corrected tilt), are plain-float loops that repeat the formulas of
+:func:`lowpass_step`, :func:`project_translational` and
+:func:`tilt_or_previous` inline, so that no sample makes a Python call.
+The simulator shares its motion pre-pass, :func:`motion_columns`.
+:func:`correction_pipeline_step`, which calls the helpers, is the
+one-sample streaming reference; the kernel returns its values bit for bit.
 
 The per-sample state machine is strictly causal and single-owner: one
 :class:`CorrectionState` belongs to one stream.  Separate streams can be
@@ -25,8 +27,8 @@ processed concurrently with independent states.
 
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate
-from math import atan2, cos, degrees, pi, sin
+from itertools import count
+from math import atan2, cos, degrees, isfinite, pi, sin
 
 import numpy as np
 
@@ -55,6 +57,13 @@ class CorrectionParams:
     T_v: float = 0.02045           # velocity low-pass time constant, s
 
     def __post_init__(self):
+        # gyro_bias is left out: it is subtracted from every rate sample, so
+        # a non-finite one makes the whole rate_bar column non-finite, which
+        # the filters refuse with the sample index.
+        for name, value in vars(self).items():
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if name != "gyro_bias" and not all(map(isfinite, values)):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         if self.N_drive < 1:
@@ -258,10 +267,16 @@ def correction_pipeline_step(raw, params, state):
 
 
 def _lowpass_column(x, y0, T, dt):
-    """:func:`lowpass_step` along float64 column ``x``, output ``y0`` at sample 0."""
-    steps = accumulate(memoryview(x)[1:], lambda y, xk: lowpass_step(xk, y, T, dt),
-                       initial=y0)
-    return np.fromiter(steps, dtype=float, count=len(x))
+    """:func:`lowpass_step` along float64 column ``x``, ``y0`` at sample 0; checks dt + T once."""
+    if not dt + T > 0:
+        raise ParameterError(f"low-pass needs dt + T > 0, got dt={dt}, T={T}")
+    d = dt + T
+    out = np.empty(len(x))
+    y = out[0] = y0
+    ys = memoryview(out)
+    for k, xk in zip(count(1), memoryview(x)[1:]):
+        y = ys[k] = (xk * dt + y * T) / d
+    return out
 
 
 def motion_columns(rate_bar, pulses, params):
@@ -285,7 +300,9 @@ def motion_columns(rate_bar, pulses, params):
 
 def correct_columns(log, params):
     """Whole-log correction kernel; returns ``CorrectedColumns``.  ``log``
-    needs array attributes like :class:`tiltkit.logio.RawLog`."""
+    needs array attributes like :class:`tiltkit.logio.RawLog`.  The tilt
+    feedback runs :func:`project_translational` and
+    :func:`tilt_or_previous` inline over plain floats."""
     rate_bar = correct_gyro(log.gyro_dps, params.gyro_bias)
     n = len(rate_bar)
     if n == 0:
@@ -298,13 +315,19 @@ def correct_columns(log, params):
     phi_bar, a_t_x, a_t_y = np.zeros((3, n))
     degenerate = np.zeros(n, dtype=bool)
     phi = phi_bar[0] = raw_arctan_tilt(log.acc_x_mps2[0], log.acc_y_mps2[0])
-    # Tilt feedback over memoryviews, which hand out and take plain floats.
-    phi_out, tx_out, ty_out, deg_out = map(memoryview, (phi_bar, a_t_x, a_t_y, degenerate))
-    inputs = zip(*(memoryview(col)[1:] for col in (ax_bar, ay_bar, a_e, a_c, a_t)))
-    for k, (ax, ay, e, c, t) in enumerate(inputs, start=1):
-        tx, ty = project_translational(t, phi)
-        phi, deg_out[k] = tilt_or_previous(ax, ay, e, c, tx, ty, phi)
-        phi_out[k], tx_out[k], ty_out[k] = phi, tx, ty
+    phi_out, tx_out, ty_out = map(memoryview, (phi_bar, a_t_x, a_t_y))
+    columns = (memoryview(col)[1:] for col in (ax_bar, ay_bar, a_e, a_c, a_t))
+    for k, ax, ay, e, c, t in zip(count(1), *columns):
+        prev = phi * pi / 180.0
+        tx_out[k] = tx = t * cos(prev)
+        ty_out[k] = ty = t * sin(prev)
+        num, den = ax + e + tx, ay + c - ty
+        if num == 0.0 and den == 0.0:
+            degenerate[k] = True
+        else:
+            phi = degrees(atan2(num, den))
+            phi = phi + 360.0 if phi <= -180.0 else phi
+        phi_out[k] = phi
     return CorrectedColumns(phi_bar, rate_bar, a_c, a_e, a_t, a_t_x, a_t_y, degenerate)
 
 

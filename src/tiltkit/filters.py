@@ -567,11 +567,12 @@ def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
         G, a, b = np.hstack([spec.B - K @ spec.C @ spec.B, K]), rate[:-1], phi[1:]
     elif spec.variant == COMPLEMENTARY:
         G = spec.B
-    pad = 3 - spec.n_states
-    M = np.pad(spec.A - K @ spec.C @ spec.A, (0, pad))
+    n = spec.n_states
+    M, G3, x = np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3)
+    M[:n, :n], G3[:n], x[:n] = spec.A - K @ spec.C @ spec.A, G, x0
     (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = M.tolist()
-    (g11, g12), (g21, g22), (g31, g32) = np.pad(G, ((0, pad), (0, 0))).tolist()
-    x1, x2, x3 = np.pad(x0, (0, pad)).tolist()
+    (g11, g12), (g21, g22), (g31, g32) = G3.tolist()
+    x1, x2, x3 = x.tolist()
     est = memoryview(out)
     for k, ak, bk in zip(count(1), a.tolist(), b.tolist()):
         x1, x2, x3 = (m11 * x1 + m12 * x2 + m13 * x3 + g11 * ak + g12 * bk,

@@ -183,6 +183,9 @@ def _read_rows(path, log=False):
         header = [h.strip() for h in header]
         if header not in (CSV_HEADER, CSV_HEADER[:5]):
             raise ParseError(f"unexpected header {header!r}, want {','.join(CSV_HEADER)!r}", line=1)
+    elif len(set(header)) < len(header):
+        name = next(h for c, h in enumerate(header) if h in header[:c])
+        raise ParseError(f"header repeats the column name {name!r}", line=1, column=name)
     dtype = np.dtype([(n, np.int64 if n in _COUNTS else float) for n in header] if log else float)
     for columns in _blank_attempts(path, len(header)):
         flags = {c: [] for c in columns if not log or header[c] in _COUNTS}
@@ -271,7 +274,8 @@ def read_columns(path):
     """Read any tiltkit-written CSV back as {column: float ndarray}.
 
     Empty fields become NaN.  Raises :class:`ParseError` (line and column)
-    for a field that is not a number or is a non-finite one.  Used by the
+    for a field that is not a number or is a non-finite one, and on line 1
+    for a header that repeats a column name.  Used by the
     ``eval`` and ``spectrum`` commands and by round-trip tests.  Parsed as
     :func:`parse_log` is, with converters only where fields are empty.
     """

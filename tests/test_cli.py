@@ -192,6 +192,18 @@ class TestCommands:
         assert "phi_bar[1] is nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("key", ["R_m", "T_v_s", "poly_x_1"])
+    def test_run_non_finite_correction_parameter_exit_4(self, tmp_path, capsys, key):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        inf_path, _ = write_config(tmp_path, name="inf.cfg", **{key: float("inf")})
+        capsys.readouterr()
+        assert main(["run", "--config", str(inf_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv")]) == EXIT_CONTRACT
+        assert "must be finite, got" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
+
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
@@ -239,6 +251,15 @@ class TestCommands:
             argv += ["--channel", "phi_hat_deg"]
         assert main(argv) == 3
         assert "line 3, column phi_hat_deg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_repeated_column_name_exit_3(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        est = tmp_path / "est.csv"
+        est.write_text("t,phi_hat_deg,phi_deg,phi_hat_deg\n0,0.1,0.1,0.2\n0.01,0.1,0.2,0.3\n")
+        assert main(["eval", "--config", str(cfg_path), "--log", str(est),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "line 1, column phi_hat_deg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_calibrate_static(self, tmp_path, capsys):

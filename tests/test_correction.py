@@ -1,16 +1,21 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import rig_params, simulate_rig
+from test_readers import PROPERTY, _python_calls
 from tiltkit import reference as ref
 from tiltkit.correction import (
     CorrectedSample,
     CorrectionParams,
     CorrectionState,
     correct_accel,
+    correct_columns,
     correct_gyro,
     corrected_tilt,
     correction_pipeline_step,
@@ -23,7 +28,8 @@ from tiltkit.correction import (
     scale_factor,
 )
 from tiltkit.errors import DegenerateTiltError, ParameterError
-from tiltkit.logio import RawSample
+from tiltkit.filters import make_filter, run_filter_arrays
+from tiltkit.logio import RawLog, RawSample
 from tiltkit.model import AccelErrorModel, GyroErrorModel, simulate_run, zero_motion_profile
 
 G = ref.GRAVITY
@@ -347,3 +353,98 @@ class TestParamsValidation:
     def test_poly_length(self):
         with pytest.raises(ParameterError):
             CorrectionParams(dt=0.01, N_drive=100, scale_poly_x=(1.0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["dt", "N_drive", "accel_bias_x", "accel_bias_y", "R",
+                                       "R_w", "T_omega", "T_v"]
+                             + [f"scale_poly_{axis}[{i}]" for axis in "xy" for i in range(5)])
+    def test_non_finite_value_refused(self, field, value):
+        name, _, index = field.partition("[")
+        kwargs = dict(dt=0.01, N_drive=100)
+        if index:
+            kwargs[name] = tuple(value if i == int(index[0]) else 0.0 for i in range(5))
+        else:
+            kwargs[name] = value
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            CorrectionParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gyro_bias_left_to_the_filters(self, value, dynamic_run_clean):
+        # a non-finite gyro bias makes every corrected rate non-finite, and
+        # the filters refuse that stream, naming the sample
+        _, log, params = dynamic_run_clean
+        with np.errstate(invalid="ignore"):
+            corrected = correct_columns(log, dataclasses.replace(params, gyro_bias=value))
+        assert not np.isfinite(corrected.rate_bar).any()
+        spec = make_filter("wb", {"alpha": 0.00185, "beta": -0.00018}, params.dt)
+        with pytest.raises(ParameterError, match=r"\[1\] is"):
+            run_filter_arrays(spec, corrected.phi_bar, corrected.rate_bar)
+
+
+def test_kernel_makes_no_python_call_per_sample(dynamic_run_clean):
+    # The low-passes and the tilt feedback loop over plain floats: a
+    # whole-log correction makes a fixed number of Python calls (numpy's
+    # own and the elementwise helpers), the same for 20 or 2,000 samples.
+    _, log, params = dynamic_run_clean
+    n, fixed = 2000, 100
+    kernel = partial(correct_columns, params=params)
+    assert _python_calls(kernel, log[:n]) < fixed
+    assert _python_calls(kernel, log[:n]) == _python_calls(kernel, log[:20])
+
+
+# --- kernel == streaming reference, on generated logs ------------------------
+
+@st.composite
+def correction_cases(draw):
+    """A raw log and its CorrectionParams.  Missing encoder samples, zeroed
+    accelerometer pairs (degenerate on a still, error-free rig), readings
+    at the +-180 deg wrap and negative time constants with dt + T > 0."""
+    n = draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([0.002, 0.01]))
+    lag = st.floats(-0.75 * dt, 0.05)
+    still = draw(st.booleans())
+    errors = {} if still else dict(
+        gyro_bias=draw(st.floats(-3.0, 3.0)), accel_bias_x=draw(st.floats(-1.0, 1.0)),
+        accel_bias_y=draw(st.floats(-1.0, 1.0)), scale_poly_x=ref.SCALE_POLY_X,
+        scale_poly_y=ref.SCALE_POLY_Y)
+    params = CorrectionParams(dt=dt, N_drive=draw(st.sampled_from([1, 2000, 65536])),
+                              T_omega=draw(lag), T_v=draw(lag), **errors)
+    gyro = [0.0] * n if still else draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    enc = [0] * n if still else draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n))
+    wrap = st.tuples(st.sampled_from([-1.0, 1.0]),
+                     st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-3])).map(lambda p: p[0] * p[1])
+    acc = draw(st.lists(st.one_of(
+        st.just((0.0, 0.0)),
+        st.tuples(wrap, st.floats(-20.0, -1.0)),
+        st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))), min_size=n, max_size=n))
+    log = RawLog(np.arange(n) * dt, gyro, [a[0] for a in acc], [a[1] for a in acc], enc,
+                 enc_missing=draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return log, params
+
+
+@PROPERTY
+@given(case=correction_cases())
+def test_kernel_matches_streaming_reference(case):
+    log, params = case
+    got = correct_columns(log, params)
+    expected = _fold_pipeline(log, params)
+    for name, column in zip(got._fields, got):
+        want = np.array([getattr(c, name) for c in expected], dtype=column.dtype)
+        assert column.tobytes() == want.tobytes(), name
+
+
+def test_correction_cases_reach_every_branch():
+    seen = set()
+
+    @PROPERTY
+    @given(case=correction_cases())
+    def collect(case):
+        log, params = case
+        got = correct_columns(log, params)
+        seen.update(name for name, hit in [
+            ("degenerate", got.degenerate.any()), ("missing", log.enc_missing[1:].any()),
+            ("tilt_180", (got.phi_bar[1:] == 180.0).any()),
+            ("negative_T", min(params.T_omega, params.T_v) < 0)] if hit)
+
+    collect()
+    assert seen == {"degenerate", "missing", "tilt_180", "negative_T"}

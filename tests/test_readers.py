@@ -185,6 +185,17 @@ def test_read_columns_names_first_bad_row(tmp_path):
     assert outcome(read_columns, path) == (ParseError, 2, "b")
 
 
+@pytest.mark.parametrize("header, name", [("a,a", "a"), ("a,b,b,a", "b")])
+def test_read_columns_refuses_repeated_header_name(tmp_path, header, name):
+    # Deliberately different: the row-wise reader kept one column per name
+    # and filled it from every column of that name, interleaved; the first
+    # name that repeats is now refused on line 1.
+    path = tmp_path / "cols.csv"
+    path.write_text(lines(header, "1,2,3,4"[:len(header)]))
+    assert list(rowwise_read_columns(path)) == list(dict.fromkeys(header.split(",")))
+    assert outcome(read_columns, path) == (ParseError, 1, name)
+
+
 @pytest.mark.parametrize("row, column", [
     ("0.0,0,0,9.8,9223372036854775808,0", "enc_count"),
     ("0.0,0,0,9.8,-9223372036854775809,0", "enc_count"),
