@@ -71,11 +71,12 @@ class CorrectionParams:
         if not self.R > 0 or not self.R_w > 0:
             raise ParameterError("R and R_w must be positive")
         # Negative time constants are allowed (they occur in tuned results)
-        # as long as the low-pass recurrence stays contractive.
-        if not self.dt + self.T_omega > 0:
-            raise ParameterError(f"dt + T_omega must be positive, got {self.dt + self.T_omega}")
-        if not self.dt + self.T_v > 0:
-            raise ParameterError(f"dt + T_v must be positive, got {self.dt + self.T_v}")
+        # as long as the low-pass recurrence stays contractive: T > -dt/2.
+        if not self.dt + 2.0 * self.T_omega > 0:
+            raise ParameterError(f"dt + 2*T_omega must be positive, got "
+                                 f"{self.dt + 2.0 * self.T_omega}")
+        if not self.dt + 2.0 * self.T_v > 0:
+            raise ParameterError(f"dt + 2*T_v must be positive, got {self.dt + 2.0 * self.T_v}")
         if len(self.scale_poly_x) != 5 or len(self.scale_poly_y) != 5:
             raise ParameterError("scale polynomials take exactly 5 coefficients (degrees 1..5)")
 
@@ -136,11 +137,13 @@ def correct_accel(a_meas, bias, poly):
 def lowpass_step(x, y_prev, T, dt):
     """One step of the first-order discrete low-pass (x*dt + y_prev*T)/(dt + T).
 
-    T = 0 passes the input through.  Negative T is accepted while dt + T > 0;
-    the recurrence is then still a contraction (|T/(dt+T)| < 1).
+    T = 0 passes the input through.  Negative T is accepted while
+    dt + 2*T > 0, that is T > -dt/2: the feedback gain T/(dt+T) then lies in
+    (-1, 0] and the recurrence is a contraction.  Below that bound the gain
+    is <= -1 and the output oscillates without decaying.
     """
-    if not dt + T > 0:
-        raise ParameterError(f"low-pass needs dt + T > 0, got dt={dt}, T={T}")
+    if not dt + 2.0 * T > 0:
+        raise ParameterError(f"low-pass needs dt + 2*T > 0, got dt={dt}, T={T}")
     return (x * dt + y_prev * T) / (dt + T)
 
 
@@ -267,9 +270,9 @@ def correction_pipeline_step(raw, params, state):
 
 
 def _lowpass_column(x, y0, T, dt):
-    """:func:`lowpass_step` along float64 column ``x``, ``y0`` at sample 0; checks dt + T once."""
-    if not dt + T > 0:
-        raise ParameterError(f"low-pass needs dt + T > 0, got dt={dt}, T={T}")
+    """:func:`lowpass_step` along float64 column ``x``, ``y0`` at sample 0; checks dt + 2*T once."""
+    if not dt + 2.0 * T > 0:
+        raise ParameterError(f"low-pass needs dt + 2*T > 0, got dt={dt}, T={T}")
     d = dt + T
     out = np.empty(len(x))
     y = out[0] = y0

@@ -63,7 +63,7 @@ class LowpassTuning:
 
 
 # One row per sample time.  Note the negative T_v in the 20 ms row: the
-# recurrence stays contractive as long as dt + T_v > 0, so the value is kept
+# recurrence stays contractive as long as T_v > -dt/2, so the value is kept
 # as tuned rather than clamped.
 LOWPASS_TUNINGS = (
     LowpassTuning(2.0, 0.06874, 0.04607, 150.56951, 72.52314),

@@ -6,6 +6,10 @@ from seeded perturbations.  Objectives return ``inf`` outside their
 feasible region (non-contractive low-pass constants, unstable filter
 gains), which the simplex handles by reflecting away.
 
+``scipy.optimize`` is imported inside :func:`nelder_mead`, on the first
+search: it takes about 0.6 s and 40 MB to load, which the commands that
+never optimise (all but ``tune`` and deflection ``calibrate``) would pay.
+
 Determinism: every tuner is a pure function of (data, config); restart
 perturbations come from a generator seeded by ``OptimizerConfig.seed``.
 Objective evaluations are pure over immutable inputs, so candidates could
@@ -17,7 +21,6 @@ from math import fsum, isfinite
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import mse
 from .correction import run_correction_arrays
@@ -90,6 +93,10 @@ def nelder_mead(objective, x0, cfg: Optional[OptimizerConfig] = None):
     Raises :class:`OptimizationFailure` when no trial start produces a
     finite objective value.
     """
+    # Imported here, not at module level: scipy.optimize costs about 0.6 s
+    # and 40 MB at start-up, which commands that never optimise would pay.
+    from scipy.optimize import minimize
+
     if cfg is None:
         cfg = OptimizerConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -236,18 +243,22 @@ def tune_time_constants(log, ref_phi, params, cfg: Optional[OptimizerConfig] = N
                         x0=None):
     """Pick the two low-pass constants minimising corrected-tilt MSE.
 
-    The feasible region is dt + T > 0 for both constants; outside it the
-    objective is inf.
+    The objective is inf where :class:`CorrectionParams` refuses a constant
+    (dt + 2*T <= 0, a non-contractive low-pass).  A non-finite
+    ``params.gyro_bias`` is refused before the search: every trial would be
+    non-finite.
     """
     ref = np.asarray(ref_phi, dtype=float)
     if len(ref) != len(log):
         raise ParameterError("log and reference must have equal length")
+    if not isfinite(params.gyro_bias):
+        raise ParameterError(f"gyro_bias must be finite, got {params.gyro_bias!r}")
 
     def objective(T):
-        t_omega, t_v = float(T[0]), float(T[1])
-        if params.dt + t_omega <= 0 or params.dt + t_v <= 0:
+        try:
+            trial = replace(params, T_omega=float(T[0]), T_v=float(T[1]))
+        except ParameterError:  # CorrectionParams owns the contractive bound
             return float("inf")
-        trial = replace(params, T_omega=t_omega, T_v=t_v)
         phi_bar, _ = run_correction_arrays(log, trial)
         return mse(ref, phi_bar)
 

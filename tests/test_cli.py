@@ -192,6 +192,23 @@ class TestCommands:
         assert "phi_bar[1] is nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("variant", ["lowpass", "wb"])
+    def test_tune_non_finite_gyro_bias_exit_4(self, tmp_path, capsys, variant):
+        n = 50
+        log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
+                     acc_y_mps2=np.full(n, ref.GRAVITY), enc_count=np.zeros(n, dtype=int),
+                     ref_count=np.zeros(n, dtype=int))
+        path = tmp_path / "train.csv"
+        write_log(path, log)
+        cfg_path, _ = write_config(tmp_path, gyro_bias_dps=float("nan"))
+        capsys.readouterr()
+        assert main(["tune", "--config", str(cfg_path), "--log", str(path),
+                     "--out", str(tmp_path / "tuned"), "--variant", variant]) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert ("gyro_bias must be finite, got nan" if variant == "lowpass"
+                else "phi_bar[1] is nan") in err
+        assert not (tmp_path / "tuned").exists()
+
     @pytest.mark.parametrize("key", ["R_m", "T_v_s", "poly_x_1"])
     def test_run_non_finite_correction_parameter_exit_4(self, tmp_path, capsys, key):
         cfg_path, _ = write_config(tmp_path)

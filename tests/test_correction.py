@@ -11,6 +11,7 @@ from conftest import rig_params, simulate_rig
 from test_readers import PROPERTY, _python_calls
 from tiltkit import reference as ref
 from tiltkit.correction import (
+    _lowpass_column,
     CorrectedSample,
     CorrectionParams,
     CorrectionState,
@@ -97,6 +98,29 @@ class TestLowpass:
     def test_invalid(self):
         with pytest.raises(ParameterError):
             lowpass_step(1.0, 0.0, -0.02, 0.01)
+
+    # The feedback gain T/(dt+T) reaches -1 at T = -dt/2: from there down to
+    # T = -dt the recurrence oscillates without decaying.
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.02])
+    @pytest.mark.parametrize("T", ["half", "below_half", "diverging"])
+    def test_refused_from_minus_half_dt(self, dt, T):
+        T = {"half": -dt / 2, "below_half": np.nextafter(-dt / 2, -1.0),
+             "diverging": -0.8 * dt}[T]
+        assert -dt < T <= -dt / 2 and T / (dt + T) <= -1
+        with pytest.raises(ParameterError, match=r"dt \+ 2\*T > 0"):
+            lowpass_step(1.0, 0.0, T, dt)
+        with pytest.raises(ParameterError, match=r"dt \+ 2\*T > 0"):
+            _lowpass_column(np.ones(3), 0.0, T, dt)
+
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.02])
+    def test_accepted_just_above_minus_half_dt(self, dt):
+        T = np.nextafter(-dt / 2, 0.0)
+        assert -1 < T / (dt + T) < 0
+        x = np.array([0.0, 1.0, -2.0, 3.0])
+        y = [0.0]
+        for xk in x[1:]:
+            y.append(lowpass_step(xk, y[-1], T, dt))
+        assert _lowpass_column(x, 0.0, T, dt).tolist() == y
 
 
 class TestDerivativeAndEncoder:
@@ -350,6 +374,21 @@ class TestParamsValidation:
         p = CorrectionParams(dt=0.02, N_drive=100, T_v=-0.00065)
         assert p.T_v == -0.00065
 
+    @pytest.mark.parametrize("field", ["T_omega", "T_v"])
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.02])
+    def test_contractive_bound_is_minus_half_dt(self, field, dt):
+        for T in (-dt / 2, np.nextafter(-dt / 2, -1.0), -0.8 * dt):
+            with pytest.raises(ParameterError, match=rf"^dt \+ 2\*{field} must be positive"):
+                CorrectionParams(dt=dt, N_drive=100, **{field: T})
+        T = np.nextafter(-dt / 2, 0.0)
+        assert getattr(CorrectionParams(dt=dt, N_drive=100, **{field: T}), field) == T
+
+    def test_bundled_tunings_inside_contractive_bound(self):
+        for row in ref.LOWPASS_TUNINGS:
+            dt = row.dt_ms / 1000.0
+            assert min(row.T_omega, row.T_v) > -dt / 2
+            CorrectionParams(dt=dt, N_drive=100, T_omega=row.T_omega, T_v=row.T_v)
+
     def test_poly_length(self):
         with pytest.raises(ParameterError):
             CorrectionParams(dt=0.01, N_drive=100, scale_poly_x=(1.0,))
@@ -398,10 +437,11 @@ def test_kernel_makes_no_python_call_per_sample(dynamic_run_clean):
 def correction_cases(draw):
     """A raw log and its CorrectionParams.  Missing encoder samples, zeroed
     accelerometer pairs (degenerate on a still, error-free rig), readings
-    at the +-180 deg wrap and negative time constants with dt + T > 0."""
+    at the +-180 deg wrap and negative time constants down to the
+    contractive bound T > -dt/2."""
     n = draw(st.integers(1, 40))
     dt = draw(st.sampled_from([0.002, 0.01]))
-    lag = st.floats(-0.75 * dt, 0.05)
+    lag = st.floats(-0.5 * dt, 0.05, exclude_min=True)
     still = draw(st.booleans())
     errors = {} if still else dict(
         gyro_bias=draw(st.floats(-3.0, 3.0)), accel_bias_x=draw(st.floats(-1.0, 1.0)),

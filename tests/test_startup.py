@@ -1,0 +1,64 @@
+"""Commands that never optimise must not load scipy.optimize.
+
+``scipy.optimize`` (with ``scipy.linalg`` behind it) is imported inside
+``tuning.nelder_mead``, so ``simulate``, ``run``, ``eval``, ``spectrum`` and
+static ``calibrate`` start without it.  The check runs in a fresh
+interpreter, because the test process itself has long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+SCRIPT = r"""
+import json, os, sys
+import tiltkit, tiltkit.cli
+import numpy as np
+from tiltkit.cli import main
+from tiltkit.logio import parse_log, read_columns, write_log
+from tiltkit.reference import REF_ENCODER_PULSES_PER_REV as N_REF
+
+tmp = sys.argv[1]
+cfg = os.path.join(tmp, "run.cfg")
+with open(cfg, "w") as fh:
+    fh.write("dt_ms=10\nN_drive=65536\nduration_s=0.5\nseed=1\nvariant=wb\n"
+             "alpha=0.00185\nbeta=-0.00018\nopt_max_iterations=4\nopt_restarts=1\n")
+out = os.path.join(tmp, "out")
+log = os.path.join(out, "log.csv")
+codes = [
+    main(["simulate", "--config", cfg, "--out", out]),
+    main(["run", "--config", cfg, "--out", out, "--log", log]),
+    main(["eval", "--config", cfg, "--out", out, "--log", os.path.join(out, "estimate.csv"),
+          "--truth", os.path.join(out, "truth.csv")]),
+    main(["spectrum", "--config", cfg, "--out", out, "--log", log]),
+    main(["calibrate", "--config", cfg, "--out", out, "--log", log]),
+]
+before = {name: name in sys.modules for name in ("scipy.optimize", "scipy.linalg")}
+
+# attach a reference channel so the log can be tuned against
+raw = parse_log(log)
+phi = read_columns(os.path.join(out, "truth.csv"))["phi_deg"]
+raw.ref_count = np.diff(np.round(phi * N_REF / 360.0).astype(np.int64), prepend=0)
+train = os.path.join(tmp, "train.csv")
+write_log(train, raw)
+codes.append(main(["tune", "--config", cfg, "--out", os.path.join(tmp, "tuned"),
+                   "--log", train, "--variant", "lowpass"]))
+after = "scipy.optimize" in sys.modules
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_non_tuning_commands_leave_scipy_optimize_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 6
+    assert report["before"] == {"scipy.optimize": False, "scipy.linalg": False}
+    # positive control: the tuner does load it
+    assert report["after"] is True

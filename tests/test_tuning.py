@@ -193,6 +193,44 @@ class TestTuneTimeConstants:
         assert res.mse <= mse(truth.phi_deg, phi_bar) + 1e-15
 
 
+    @pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gyro_bias_refused_before_search(self, monkeypatch, bias):
+        # every trial would be non-finite; the tuner names the field instead
+        # of reporting an optimisation failure
+        truth, log, params = simulate_rig(duration=0.5)
+
+        def no_correction(*args, **kwargs):
+            raise AssertionError("a correction ran")
+
+        monkeypatch.setattr(tuning, "run_correction_arrays", no_correction)
+        from dataclasses import replace
+        with pytest.raises(ParameterError, match="^gyro_bias must be finite"):
+            tune_time_constants(log, truth.phi_deg, replace(params, gyro_bias=bias))
+
+    def test_feasible_region_ends_at_minus_half_dt(self, monkeypatch):
+        # the objective is inf from T = -dt/2 down, where the low-pass stops
+        # being contractive; a seed there has no finite trial start
+        truth, log, params = simulate_rig(duration=0.5)
+        tried = []
+
+        def recording_correction(log, trial):
+            tried.append((trial.T_omega, trial.T_v))
+            return run_correction_arrays(log, trial)
+
+        monkeypatch.setattr(tuning, "run_correction_arrays", recording_correction)
+        cfg = OptimizerConfig(restarts=1, max_iterations=10)
+        half = -params.dt / 2
+        for x0 in ([half, 0.01], [0.01, half]):
+            with pytest.raises(OptimizationFailure):
+                tune_time_constants(log, truth.phi_deg, params, cfg, x0=x0)
+        assert tried == []
+        inside = float(np.nextafter(half, 0.0))
+        res = tune_time_constants(log, truth.phi_deg, params, cfg, x0=[inside, inside])
+        assert tried[0] == (inside, inside)
+        assert min(min(t) for t in tried) > half
+        assert min(res.T_omega, res.T_v) > half
+
+
 @pytest.fixture(scope="module")
 def noisy_stream():
     truth, log, params = simulate_rig(duration=8.0, gyro_noise=0.17,
