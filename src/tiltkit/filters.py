@@ -36,15 +36,15 @@ refuse NaN and infinite parameters.
 Stability of a spec is judged from the eigenvalues of [A - KCA]: strictly
 stable when every magnitude is below 1 - 1e-9, marginal when the largest
 magnitude sits within 1e-9 of one, unstable above 1 + 1e-9 or when any
-magnitude is not finite.  Eigenvalues are computed in closed form
-(quadratic for 2x2, a Cardano/trigonometric characteristic-cubic solver
-for 3x3).  For the kalman variants the check runs the covariance recursion
-until the gain settles (tolerance 1e-12, capped at 50000 iterations) and
-evaluates the error dynamics at that gain.  With q2 = 0 the bias gain
-only decays towards zero and never meets the tolerance, so the check
-always stops at the cap; on the published rows it reports max |lambda| =
-1 - c/50000 with c between 1 and 3, a verdict set by the cap rather than
-by the filter.
+magnitude is not finite.  Eigenvalues come from ``np.linalg.eigvals``,
+as Python complex numbers; LAPACK refuses a matrix holding NaN or inf, so
+such a matrix reports NaN eigenvalues instead.  For the kalman variants
+the check runs the covariance recursion until the gain settles
+(tolerance 1e-12, capped at 50000 iterations) and evaluates the error
+dynamics at that gain.  With q2 = 0 the bias gain only decays towards
+zero and never meets the tolerance, so the check always stops at the cap;
+on the published rows it reports max |lambda| = 1 - c/50000 with c
+between 1 and 3, a verdict set by the cap rather than by the filter.
 
 :func:`run_filter_arrays` runs every fixed-gain variant through one loop
 over plain floats, x(k) = M x(k-1) + G [a(k), b(k)] with M = A - KCA and
@@ -60,7 +60,7 @@ sequential values, so many (spec, log) pairs can be evaluated in parallel.
 
 from dataclasses import dataclass, field
 from itertools import count, islice
-from math import acos, cos, isfinite, pi, sqrt
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -362,78 +362,6 @@ def _kalman_gains(spec, P0):
         yield k1, k2
 
 
-def _eig_closed_form(M):
-    """Eigenvalues of a 1x1, 2x2 or 3x3 matrix without an iterative solver."""
-    n = M.shape[0]
-    if n == 1:
-        return (complex(M[0, 0]),)
-    if n == 2:
-        tr = M[0, 0] + M[1, 1]
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        half = tr / 2.0
-        disc = half * half - det
-        if disc >= 0.0:
-            root = sqrt(disc)
-            return (complex(half + root), complex(half - root))
-        root = sqrt(-disc)
-        return (complex(half, root), complex(half, -root))
-    if n == 3:
-        return _eig_cubic(M)
-    raise ParameterError(f"stability check supports 1x1..3x3, got {n}x{n}")
-
-
-def _cbrt(x):
-    return np.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _eig_cubic(M):
-    """Roots of the 3x3 characteristic polynomial via Cardano/trigonometric,
-    finished with Newton steps to recover accuracy near multiple roots."""
-    a = -(M[0, 0] + M[1, 1] + M[2, 2])
-    b = (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-         + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-         + M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    c = -float(np.linalg.det(M))
-    # depressed cubic y^3 + p y + q with lambda = y - a/3
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if p == 0.0 and q == 0.0:
-        roots = [complex(shift)] * 3
-    elif disc > 0.0:
-        u = _cbrt(-q / 2.0 + sqrt(disc))
-        v = _cbrt(-q / 2.0 - sqrt(disc))
-        y1 = u + v
-        re = -y1 / 2.0
-        im = sqrt(3.0) / 2.0 * (u - v)
-        roots = [complex(y1 + shift), complex(re + shift, im), complex(re + shift, -im)]
-    else:
-        # three real roots, trigonometric form
-        m = 2.0 * sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = acos(arg)
-        roots = [complex(m * cos((theta - 2.0 * pi * k) / 3.0) + shift)
-                 for k in range(3)]
-    return tuple(_newton_polish(z, a, b, c) for z in roots)
-
-
-def _newton_polish(z, a, b, c, steps=3):
-    for _ in range(steps):
-        f = ((z + a) * z + b) * z + c
-        df = (3.0 * z + 2.0 * a) * z + b
-        if df == 0:
-            break
-        step = f / df
-        z = z - step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
-    if abs(z.imag) < 1e-14 * max(1.0, abs(z.real)):
-        z = complex(z.real)
-    return z
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Eigenvalues of the error dynamics [A - KCA] and their verdict."""
@@ -488,14 +416,19 @@ def check_stability(spec, P0=None):
 
     Fixed-gain variants evaluate [A - KCA] directly; kalman variants first
     converge the covariance recursion (see :func:`steady_kalman_gain`) and
-    evaluate the error dynamics at that gain.
+    evaluate the error dynamics at that gain.  The eigenvalues are
+    ``np.linalg.eigvals``'s, or NaN when the matrix is not finite.
     """
     K, gain = spec.K, None
     if spec.variant in KALMAN_VARIANTS:
         gain = steady_kalman_gain(spec, P0=P0)
         K = np.array([[gain[0]], [gain[1]]])
-    eig = _eig_closed_form(spec.A - K @ spec.C @ spec.A)
-    mags = tuple(abs(v) for v in eig)
+    M = spec.A - K @ spec.C @ spec.A
+    if np.isfinite(M).all():
+        eig = tuple(complex(z) for z in np.linalg.eigvals(M))
+    else:  # LAPACK refuses NaN and inf: report a non-finite magnitude
+        eig = (complex("nan"),) * len(M)
+    mags = tuple(abs(z) for z in eig)
     return StabilityReport(eig, mags, _classify(mags), gain=gain)
 
 

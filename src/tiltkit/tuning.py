@@ -8,7 +8,8 @@ gains), which the simplex handles by reflecting away.
 
 ``scipy.optimize`` is imported inside :func:`nelder_mead`, on the first
 search: it takes about 0.6 s and 40 MB to load, which the commands that
-never optimise (all but ``tune`` and deflection ``calibrate``) would pay.
+never optimise (all but ``tune``) would pay.  The scale-factor fit is
+linear least squares and needs no search.
 
 Determinism: every tuner is a pure function of (data, config); restart
 perturbations come from a generator seeded by ``OptimizerConfig.seed``.
@@ -108,7 +109,10 @@ def nelder_mead(objective, x0, cfg: Optional[OptimizerConfig] = None):
     for _ in range(cfg.restarts):
         f0 = objective(start)
         if isfinite(f0):
-            res = minimize(objective, start, method="Nelder-Mead", options={
+            def fun(x):  # vertex 0 of the initial simplex is the probed start
+                return f0 if np.array_equal(x, start) else objective(x)
+
+            res = minimize(fun, start, method="Nelder-Mead", options={
                 "initial_simplex": _initial_simplex(start, cfg.initial_scale),
                 "maxiter": cfg.max_iterations,
                 "maxfev": 10 * cfg.max_iterations * max(1, len(start)),
@@ -184,19 +188,15 @@ class ScaleFactorFit:
 
     coefficients: tuple
     mse: float
-    opt: OptResult
 
 
-def fit_scale_factor(pairs, degree=5, cfg: Optional[OptimizerConfig] = None):
+def fit_scale_factor(pairs, degree=5):
     """Fit the zero-intercept error polynomial from (p, a_ref) pairs.
 
     ``p`` is the bias-corrected measurement, ``a_ref`` the reference
     acceleration; the fit minimises the MSE between p - S(p) and a_ref.
-    The simplex search is seeded at the linear least-squares solution (the
-    objective is linear in the coefficients, so the seed already sits at
-    the optimum and the search acts as a verification polish; with a poor
-    seed alone the 5-D simplex cannot reliably reach coefficient-level
-    accuracy).
+    That MSE is linear least squares in the coefficients, so
+    ``np.linalg.lstsq`` gives the optimum directly.
     """
     arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                      dtype=float)
@@ -213,22 +213,15 @@ def fit_scale_factor(pairs, degree=5, cfg: Optional[OptimizerConfig] = None):
     powers = np.vander(p, degree + 1, increasing=True)[:, 1:]  # p^1 .. p^degree
     target = p - a_ref
 
-    def objective(c):
-        resid = target - powers @ c
-        return float(resid @ resid) / len(resid)
-
-    c_seed, *_ = np.linalg.lstsq(powers, target, rcond=None)
-    if cfg is None:
-        cfg = OptimizerConfig(initial_scale=0.1, restarts=1)
-    opt = nelder_mead(objective, c_seed, cfg)
-    best = opt.x if opt.fun <= objective(c_seed) else c_seed
-    return ScaleFactorFit(coefficients=tuple(float(v) for v in best),
-                          mse=float(objective(best)), opt=opt)
+    c, *_ = np.linalg.lstsq(powers, target, rcond=None)
+    resid = target - powers @ c
+    return ScaleFactorFit(coefficients=tuple(float(v) for v in c),
+                          mse=float(resid @ resid) / len(resid))
 
 
-def fit_scale_factor_degrees(pairs, degrees=range(1, 6), cfg=None):
+def fit_scale_factor_degrees(pairs, degrees=range(1, 6)):
     """Fit every degree in ``degrees`` and report all results."""
-    return {d: fit_scale_factor(pairs, degree=d, cfg=cfg) for d in degrees}
+    return {d: fit_scale_factor(pairs, degree=d) for d in degrees}
 
 
 @dataclass

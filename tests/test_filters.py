@@ -311,16 +311,35 @@ class TestStability:
         assert rep.classification == "unstable"
         assert not rep.stable and not rep.marginal
 
-    def test_closed_form_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            n = rng.integers(1, 4)
-            M = rng.normal(size=(n, n))
-            mine = sorted(F._eig_closed_form(M), key=lambda z: (round(z.real, 9), z.imag))
-            theirs = sorted(np.linalg.eigvals(M),
-                            key=lambda z: (round(z.real, 9), z.imag))
-            for a, b in zip(mine, theirs):
-                assert abs(a - b) < 1e-8
+    def test_eigenvalues_exact(self):
+        # the published rows that print a zero gain leave an eigenvalue at
+        # exactly 1 (abtg at 10 ms: exactly 1 - gamma), with no rounding drift
+        marginal = 0
+        for row in ref.FILTER_TUNINGS:
+            if row.variant in F.KALMAN_VARIANTS:
+                continue
+            spec = F.make_filter(row.variant, row.params, row.dt_ms / 1000.0)
+            rep = F.check_stability(spec)
+            assert all(type(m) is float for m in rep.magnitudes), row
+            assert all(type(z) is complex for z in rep.eigenvalues), row
+            if rep.marginal:
+                marginal += 1
+                assert rep.max_magnitude == 1.0, row
+            if (row.variant, row.dt_ms) == ("abtg", 10.0):
+                M = spec.A - spec.K @ spec.C @ spec.A
+                assert rep.max_magnitude == M[1, 1]
+        assert marginal == 6
+
+    def test_triangular_error_matrix_reads_its_diagonal(self):
+        # a wa_b candidate of a tuning search: [A - KCA] is upper triangular
+        # with eigenvalues 1 - 2**-52 and 1, which a closed-form cubic solver
+        # misread as 1 - 1.7e-7 and 1 + 1.4e-7 and so called unstable
+        spec = F.make_filter("wa_b", {"alpha": 0.00875, "beta": 2.0 ** -52,
+                                      "theta": 0.0}, 0.002)
+        rep = F.check_stability(spec)
+        M = spec.A - spec.K @ spec.C @ spec.A
+        assert sorted(z.real for z in rep.eigenvalues) == sorted(np.diag(M))
+        assert rep.marginal and rep.max_magnitude == 1.0
 
     def test_kalman_variant_converged_gain(self):
         spec = F.make_filter("kalman", dict(ref.KALMAN_NOISE_ANALYSIS), 0.002)

@@ -2,8 +2,9 @@
 
 ``scipy.optimize`` (with ``scipy.linalg`` behind it) is imported inside
 ``tuning.nelder_mead``, so ``simulate``, ``run``, ``eval``, ``spectrum`` and
-static ``calibrate`` start without it.  The check runs in a fresh
-interpreter, because the test process itself has long since imported both.
+``calibrate``, static and deflection (a least-squares fit), start without
+it; only ``tune`` loads it.  The check runs in a fresh interpreter,
+because the test process itself has long since imported both.
 """
 
 import json
@@ -36,14 +37,17 @@ codes = [
     main(["spectrum", "--config", cfg, "--out", out, "--log", log]),
     main(["calibrate", "--config", cfg, "--out", out, "--log", log]),
 ]
-before = {name: name in sys.modules for name in ("scipy.optimize", "scipy.linalg")}
 
-# attach a reference channel so the log can be tuned against
+# attach a reference channel: deflection calibrate and tune fit against it
 raw = parse_log(log)
 phi = read_columns(os.path.join(out, "truth.csv"))["phi_deg"]
 raw.ref_count = np.diff(np.round(phi * N_REF / 360.0).astype(np.int64), prepend=0)
 train = os.path.join(tmp, "train.csv")
 write_log(train, raw)
+codes.append(main(["calibrate", "--config", cfg, "--out", os.path.join(tmp, "deflection"),
+                   "--log", train]))
+before = {name: name in sys.modules for name in ("scipy.optimize", "scipy.linalg")}
+
 codes.append(main(["tune", "--config", cfg, "--out", os.path.join(tmp, "tuned"),
                    "--log", train, "--variant", "lowpass"]))
 after = "scipy.optimize" in sys.modules
@@ -58,7 +62,7 @@ def test_non_tuning_commands_leave_scipy_optimize_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * 6
+    assert report["codes"] == [0] * 7
     assert report["before"] == {"scipy.optimize": False, "scipy.linalg": False}
     # positive control: the tuner does load it
     assert report["after"] is True

@@ -54,6 +54,33 @@ class TestNelderMead:
         assert a.x == pytest.approx(b.x, abs=0.0)
         assert a.fun == b.fun
 
+    def test_start_evaluated_once_per_pass(self):
+        # vertex 0 of scipy's initial simplex is the start already probed:
+        # its value is reused, and the search itself is scipy's
+        from scipy.optimize import minimize
+
+        def quad(x):
+            return (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2
+
+        def recording(x):
+            calls.append(tuple(x))
+            return quad(x)
+
+        calls = []
+        nelder_mead(recording, [0.5, 0.5], OptimizerConfig(restarts=2))
+        assert calls.count((0.5, 0.5)) == 1
+        assert all(a != b for a, b in zip(calls, calls[1:]))  # no pass re-probes
+
+        calls = []
+        cfg = OptimizerConfig(restarts=1)
+        res = nelder_mead(recording, [0.5, 0.5], cfg)
+        start = np.array([0.5, 0.5])
+        direct = minimize(quad, start, method="Nelder-Mead", options={
+            "initial_simplex": tuning._initial_simplex(start, cfg.initial_scale),
+            "xatol": cfg.tol_x, "fatol": cfg.tol_f})
+        assert len(calls) == direct.nfev
+        assert res.x.tolist() == direct.x.tolist() and res.fun == direct.fun
+
     def test_all_non_finite_fails(self):
         with pytest.raises(OptimizationFailure):
             nelder_mead(lambda x: float("inf"), [0.0], OptimizerConfig(restarts=2))
