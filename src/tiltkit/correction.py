@@ -5,6 +5,8 @@ distortion, compensates the motion-induced accelerations sensed by an IMU
 mounted off the wheel axis (centrifugal, angular-acceleration and
 translational terms, the latter reconstructed from the drive encoder), and
 produces the corrected tilt ``phi_bar`` and corrected rate ``rate_bar``.
+Every sample, the first included, gets the same tilt rule; before sample 0
+the previous tilt is the vertical prior, 0 degrees.
 
 Angle convention: degrees end to end.  Radians appear only inside the
 motion terms, converted with pi/180.
@@ -26,7 +28,7 @@ processed concurrently with independent states.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import count
 from math import atan2, cos, degrees, isfinite, pi, sin
 
@@ -85,7 +87,7 @@ class CorrectionParams:
 class CorrectionState:
     """Carry-over values between consecutive pipeline steps."""
 
-    prev_phi_bar: float = 0.0        # degrees
+    prev_phi_bar: float = 0.0        # degrees; before sample 0, the vertical prior
     prev_rate_filtered: float = 0.0  # rad/s
     prev_v_filtered: float = 0.0     # m/s
     initialized: bool = False
@@ -238,35 +240,28 @@ def motion_terms(rate_bar, enc_count, state, params):
 def correction_pipeline_step(raw, params, state):
     """Run one raw sample through the full correction chain.
 
-    Returns ``(CorrectedSample, CorrectionState)``.  The first sample
-    initialises the chain: the stored tilt comes from the raw arctangent of
-    the accelerations, the rate low-pass from the first corrected rate, and
-    the velocity low-pass from zero.
+    Returns ``(CorrectedSample, CorrectionState)``.  Every sample takes its
+    tilt from :func:`tilt_or_previous`, the first on the state's vertical
+    prior.  The first sample holds zero motion terms and seeds the rate
+    low-pass from the first corrected rate, the velocity low-pass from zero.
     """
     rate_bar = correct_gyro(raw.gyro_dps, params.gyro_bias)
     ax_bar = correct_accel(raw.acc_x_mps2, params.accel_bias_x, params.scale_poly_x)
     ay_bar = correct_accel(raw.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
-
-    if not state.initialized:
-        phi0 = raw_arctan_tilt(raw.acc_x_mps2, raw.acc_y_mps2)
-        out = CorrectedSample(phi_bar=phi0, rate_bar=rate_bar,
-                              enc_missing=getattr(raw, "enc_missing", False))
-        new_state = CorrectionState(prev_phi_bar=phi0, prev_rate_filtered=_to_rad(rate_bar),
-                                    prev_v_filtered=0.0, initialized=True)
-        return out, new_state
-
     enc_missing = bool(getattr(raw, "enc_missing", False))
-    n = 0 if enc_missing else raw.enc_count
-    a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
+    if state.initialized:
+        n = 0 if enc_missing else raw.enc_count
+        a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
+    else:
+        a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = 0.0, 0.0, 0.0, 0.0, 0.0, _to_rad(rate_bar), 0.0
     phi_bar, degenerate = tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y,
                                            state.prev_phi_bar)
 
     out = CorrectedSample(phi_bar=phi_bar, rate_bar=rate_bar, a_c=a_c, a_e=a_e,
                           a_t=a_t, a_t_x=a_t_x, a_t_y=a_t_y,
                           degenerate=degenerate, enc_missing=enc_missing)
-    new_state = replace(state, prev_phi_bar=phi_bar, prev_rate_filtered=rate_f,
-                        prev_v_filtered=v_f)
-    return out, new_state
+    return out, CorrectionState(prev_phi_bar=phi_bar, prev_rate_filtered=rate_f,
+                                prev_v_filtered=v_f, initialized=True)
 
 
 def _lowpass_column(x, y0, T, dt):
@@ -317,10 +312,10 @@ def correct_columns(log, params):
 
     phi_bar, a_t_x, a_t_y = np.zeros((3, n))
     degenerate = np.zeros(n, dtype=bool)
-    phi = phi_bar[0] = raw_arctan_tilt(log.acc_x_mps2[0], log.acc_y_mps2[0])
+    phi = CorrectionState.prev_phi_bar  # the vertical prior before sample 0
     phi_out, tx_out, ty_out = map(memoryview, (phi_bar, a_t_x, a_t_y))
-    columns = (memoryview(col)[1:] for col in (ax_bar, ay_bar, a_e, a_c, a_t))
-    for k, ax, ay, e, c, t in zip(count(1), *columns):
+    columns = map(memoryview, (ax_bar, ay_bar, a_e, a_c, a_t))
+    for k, ax, ay, e, c, t in zip(count(), *columns):
         prev = phi * pi / 180.0
         tx_out[k] = tx = t * cos(prev)
         ty_out[k] = ty = t * sin(prev)

@@ -11,10 +11,11 @@ motion-induced interference that the correction chain will reconstruct.
 The shadow chain is the correction kernel's own motion pre-pass
 (:func:`tiltkit.correction.motion_columns`) on the generated gyro and
 encoder columns, plus a shadow tilt advanced with the chain's projection
-and tilt helpers.  Correcting a noise-free log with matching parameters
-therefore recovers the true tilt to floating-point precision when the
-scale polynomials are zero, and up to the small scale-factor inversion
-residual otherwise.  The contract assumes no sample hits the clamp.
+and tilt helpers from the chain's vertical prior, sample 0 included.
+Correcting a noise-free log with matching parameters therefore recovers
+the true tilt at every sample to floating-point precision when the scale
+polynomials are zero, and up to the small scale-factor inversion residual
+otherwise.  The contract assumes no sample hits the clamp.
 
 Randomness comes from ``numpy.random.Generator`` (PCG64 via
 ``default_rng(seed)``).  Noise is drawn in one ``standard_normal((n, k))``
@@ -32,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .correction import (correct_accel, correct_gyro, motion_columns, project_translational,
-                         raw_arctan_tilt, scale_factor, tilt_or_previous)
+from .correction import (CorrectionState, correct_accel, correct_gyro, motion_columns,
+                         project_translational, scale_factor, tilt_or_previous)
 # Unused here; kept importable because per-module tracers patch them on model.
 from .correction import correction_pipeline_step, motion_terms  # noqa: F401
 from .errors import ParameterError, SimulationError
@@ -119,8 +120,9 @@ class MotionProfile:
     def __post_init__(self):
         if not self.dt > 0:
             raise ParameterError("dt must be positive")
-        if self.duration < self.dt:
-            raise ParameterError("duration must be at least one sample period")
+        if not (isfinite(self.duration) and self.duration >= self.dt):
+            raise ParameterError(f"duration must be finite and at least one sample period, "
+                                 f"got {self.duration}")
 
     @property
     def n_samples(self):
@@ -254,8 +256,11 @@ def simulate_run(profile, gyro, accel, params, seed):
     sample so no pulse is ever lost.  The truth and the encoder advance
     first, then the gyro column; the accelerometer loop embeds the motion
     pre-pass terms and the projection on the shadow tilt.  The first sample
-    embeds no motion terms, mirroring the chain's raw-arctangent start.
+    embeds no motion terms, as the pre-pass holds zeros there.  A negative
+    ``seed``, which ``default_rng`` cannot take, raises ParameterError.
     """
+    if not seed >= 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     dt = profile.dt
     n = profile.n_samples
     rng = np.random.default_rng(seed)
@@ -314,21 +319,18 @@ def simulate_run(profile, gyro, accel, params, seed):
     # Memoryviews hand out and take plain floats, cheaper than ndarray items.
     ax_out, ay_out = memoryview(acc_x_arr), memoryview(acc_y_arr)
     columns = zip(*map(memoryview, (truth_cols[0], a_c, a_e, a_t, noise_x, noise_y)))
-    # a_t is zero at sample 0, so projecting on a previous tilt of 0 embeds
-    # exact zeros there.
-    phi_bar = 0.0
+    # The shadow starts from the corrector's vertical prior; a_t is zero at
+    # sample 0, so the projection embeds exact zeros there.
+    phi_bar = CorrectionState.prev_phi_bar
     for k, (phi, a_c_k, a_e_k, a_t_k, nx, ny) in enumerate(columns):
         a_t_x, a_t_y = project_translational(a_t_k, phi_bar)
         ax, ay = _corrupt_accel_pair(phi, a_e_k, a_c_k, a_t_x, a_t_y, accel, nx, ny)
         ax_out[k], ay_out[k] = ax, ay
         # Advance the shadow tilt exactly as the corrector will.
-        if k == 0:
-            phi_bar = raw_arctan_tilt(ax, ay)
-        else:
-            phi_bar, _ = tilt_or_previous(
-                correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
-                correct_accel(ay, params.accel_bias_y, params.scale_poly_y),
-                a_e_k, a_c_k, a_t_x, a_t_y, phi_bar)
+        phi_bar, _ = tilt_or_previous(
+            correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
+            correct_accel(ay, params.accel_bias_y, params.scale_poly_y),
+            a_e_k, a_c_k, a_t_x, a_t_y, phi_bar)
 
     t_arr = np.arange(n) * dt
     truth = TruthLog(t_arr, *truth_cols)

@@ -66,6 +66,8 @@ class OptimizerConfig:
             raise ParameterError("initial_scale must be positive")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ParameterError("max_iterations and restarts must be >= 1")
+        if not self.seed >= 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -221,6 +221,30 @@ class TestCommands:
         assert "must be finite, got" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("command, overrides, argv, message", [
+        ("simulate", {"duration_s": float("inf")}, [],
+         "duration must be finite and at least one sample period, got inf"),
+        ("simulate", {"duration_s": float("nan")}, [],
+         "duration must be finite and at least one sample period, got nan"),
+        ("simulate", {}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("tune", {}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_unusable_duration_or_seed_exit_4(self, tmp_path, capsys, command, overrides,
+                                              argv, message):
+        cfg_path, _ = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        if command == "tune":
+            n = 50
+            log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
+                         acc_y_mps2=np.full(n, ref.GRAVITY), enc_count=np.zeros(n, dtype=int),
+                         ref_count=np.zeros(n, dtype=int))
+            write_log(tmp_path / "train.csv", log)
+            argv = argv + ["--log", str(tmp_path / "train.csv")]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)] + argv) == EXIT_CONTRACT
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2

@@ -31,7 +31,8 @@ from tiltkit.correction import (
 from tiltkit.errors import DegenerateTiltError, ParameterError
 from tiltkit.filters import make_filter, run_filter_arrays
 from tiltkit.logio import RawLog, RawSample
-from tiltkit.model import AccelErrorModel, GyroErrorModel, simulate_run, zero_motion_profile
+from tiltkit.model import (AccelErrorModel, GyroErrorModel, default_dynamic_profile, simulate_run,
+                           zero_motion_profile)
 
 G = ref.GRAVITY
 
@@ -359,6 +360,39 @@ class TestKernelMatchesStreamingReference:
         assert run_correction(log, params) == _fold_pipeline(log, params)
         phi_bar, rate_bar = run_correction_arrays(log, params)
         assert len(phi_bar) == len(rate_bar) == n
+
+
+class TestSampleZero:
+    """Sample 0 gets the tilt rule of every later sample, from the vertical prior."""
+
+    @pytest.mark.parametrize("dt", [0.002, 0.01])
+    def test_zero_noise_round_trip_exact_at_every_sample(self, dt):
+        # reference biases, zero polynomials, no noise: the corrected tilt
+        # is the true tilt at every sample, sample 0 included
+        params = dataclasses.replace(rig_params(dt), scale_poly_x=(0.0,) * 5,
+                                     scale_poly_y=(0.0,) * 5)
+        gyro = GyroErrorModel(bias=ref.GYRO_BIAS_DPS)
+        accel = AccelErrorModel(bias_x=ref.ACCEL_BIAS_X_MPS2, bias_y=ref.ACCEL_BIAS_Y_MPS2)
+        truth, log = simulate_run(default_dynamic_profile(2.0, dt), gyro, accel, params, 1)
+        corrected = correct_columns(log, params)
+        err = np.abs(corrected.phi_bar - truth.phi_deg)
+        assert err[0] <= 1e-12
+        assert err.max() <= 1e-12
+        assert not corrected.degenerate.any()
+
+    def test_sample_zero_at_the_biases_is_degenerate(self):
+        # sample 0 reads exactly the accelerometer biases, so both corrected
+        # components are zero: the tilt keeps the vertical prior, flagged
+        _, log, params = simulate_rig(duration=0.5, gyro_noise=0.1, accel_noise=0.05)
+        log.acc_x_mps2[0] = params.accel_bias_x
+        log.acc_y_mps2[0] = params.accel_bias_y
+        corrected = correct_columns(log, params)
+        assert corrected.phi_bar[0] == 0.0
+        assert corrected.degenerate[0]
+        folded = _fold_pipeline(log, params)
+        assert folded[0].phi_bar == 0.0
+        assert folded[0].degenerate
+        assert corrected.phi_bar.tobytes() == np.array([c.phi_bar for c in folded]).tobytes()
 
 
 class TestParamsValidation:
