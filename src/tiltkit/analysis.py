@@ -14,11 +14,13 @@ from math import isfinite, log10
 
 import csv
 import io
+import os
 
 import numpy as np
 
 from .errors import ParameterError
 from .filters import PARAMS
+from .logio import write_columns
 
 
 def mse(ref, est):
@@ -104,38 +106,37 @@ def snr_db(signal, noise):
 
 # every variant's parameters, in order of first appearance in PARAMS
 _REPORT_PARAMS = tuple(dict.fromkeys(name for names in PARAMS.values() for name in names))
+_TRAJECTORY_COLUMNS = ("t", "phi_true_deg", "phi_bar_deg", "phi_hat_deg", "arctan_raw_deg")
 
 
 @dataclass
 class Report:
     """Tuning report: text table plus machine-readable rows.
 
-    ``rows`` are plain dicts (one per tuning result); ``trajectory_rows``
-    optionally carry plot-ready (t, truth, corrected, estimate) samples.
+    ``rows`` are plain dicts (one per tuning result); ``trajectories``
+    optionally maps column names to plot-ready float columns (t, truth,
+    corrected, estimate and the raw arctangent tilt).
     """
 
     text: str
     rows: list
-    trajectory_rows: list = field(default_factory=list)
+    trajectories: dict = field(default_factory=dict)
 
     def results_csv(self):
         """Render the result rows as CSV text (repr floats, round-trip exact)."""
         return _rows_csv(self.rows)
 
-    def trajectories_csv(self):
-        return _rows_csv(self.trajectory_rows)
-
     def write(self, outdir):
-        """Write report.txt, results.csv and (if present) trajectories.csv."""
-        import os
+        """Write report.txt, results.csv and, when it has rows,
+        trajectories.csv (CRLF rows, as the ``csv`` module ends them)."""
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "report.txt"), "w") as fh:
             fh.write(self.text)
         with open(os.path.join(outdir, "results.csv"), "w", newline="") as fh:
             fh.write(self.results_csv())
-        if self.trajectory_rows:
-            with open(os.path.join(outdir, "trajectories.csv"), "w", newline="") as fh:
-                fh.write(self.trajectories_csv())
+        if len(next(iter(self.trajectories.values()), ())):
+            write_columns(os.path.join(outdir, "trajectories.csv"), list(self.trajectories),
+                          list(self.trajectories.values()), "\r\n")
 
 
 def _rows_csv(rows):
@@ -174,9 +175,9 @@ def make_report(results, logs_metadata=None, trajectories=None):
 
     ``results`` is an iterable of :class:`tiltkit.tuning.TuningResult`;
     ``trajectories`` is an optional (t, phi_true, phi_bar, phi_hat) tuple of
-    equal-length arrays for plot-ready CSV output, with an optional fifth
-    array carrying the uncompensated arctangent tilt.  Output is
-    deterministic for identical inputs.
+    equal-length columns for plot-ready CSV output, with an optional fifth
+    column carrying the uncompensated arctangent tilt; the report keeps
+    float copies of them.  Output is deterministic for identical inputs.
     """
     results = list(results)
     if not results:
@@ -210,19 +211,10 @@ def make_report(results, logs_metadata=None, trajectories=None):
         lines.append("  ".join(_fmt(row[h]).ljust(widths[h]) for h in headers))
     text = "\n".join(lines) + "\n"
 
-    trajectory_rows = []
+    columns = {}
     if trajectories is not None:
-        t, phi_true, phi_bar, phi_hat = trajectories[:4]
-        raw = trajectories[4] if len(trajectories) > 4 else None
-        for k in range(len(t)):
-            row = {
-                "t": float(t[k]),
-                "phi_true_deg": float(phi_true[k]),
-                "phi_bar_deg": float(phi_bar[k]),
-                "phi_hat_deg": float(phi_hat[k]),
-            }
-            if raw is not None:
-                row["arctan_raw_deg"] = float(raw[k])
-            trajectory_rows.append(row)
-
-    return Report(text=text, rows=rows, trajectory_rows=trajectory_rows)
+        if len(trajectories) not in (4, 5) or len({len(c) for c in trajectories}) > 1:
+            raise ParameterError("trajectories must be 4 or 5 equal-length columns")
+        columns = {name: np.array(c, dtype=float)
+                   for name, c in zip(_TRAJECTORY_COLUMNS, trajectories)}
+    return Report(text=text, rows=rows, trajectories=columns)

@@ -21,8 +21,10 @@ failure.
 """
 
 import argparse
+import csv
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -144,9 +146,9 @@ def cmd_calibrate(config, args):
     lines = []
     diag = []
     if log.ref_count is None:
-        gyro_est = tuning.estimate_static_bias(log, "gyro_dps")
-        acc_x_est = tuning.estimate_static_bias(log, "acc_x_mps2")
-        acc_y_est = tuning.estimate_static_bias(log, "acc_y_mps2")
+        gyro_est = tuning.estimate_static_bias(log.gyro_dps)
+        acc_x_est = tuning.estimate_static_bias(log.acc_x_mps2)
+        acc_y_est = tuning.estimate_static_bias(log.acc_y_mps2)
         lines += [
             f"gyro_bias_dps={gyro_est.bias!r}",
             f"accel_bias_x_mps2={acc_x_est.bias!r}",
@@ -232,20 +234,28 @@ def cmd_run(config, args):
     return EXIT_OK
 
 
+def _column(columns, name, path):
+    """``columns[name]``, as read_columns read it from ``path``; a missing
+    column or an empty field (read as NaN) in it is a ConfigError, exit 4."""
+    if name not in columns:
+        raise ConfigError(f"column {name!r} not in {path}")
+    bad = np.flatnonzero(np.isnan(columns[name]))
+    if bad.size:  # find its line: np.loadtxt skips blank lines, csv reads them as []
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            line = next(islice((reader.line_num for row in reader if row), bad[0] + 1, None))
+        raise ConfigError(f"column {name!r} of {path} has an empty field on line {line}")
+    return columns[name]
+
+
 def cmd_eval(config, args):
     if not args.log:
         raise ConfigError("eval needs --log with the estimate CSV")
     est_cols = read_columns(args.log)
-    if args.truth:
-        ref_cols = read_columns(args.truth)
-    else:
-        ref_cols = est_cols
-    if args.est_column not in est_cols:
-        raise ConfigError(f"column {args.est_column!r} not in {args.log}")
-    if args.ref_column not in ref_cols:
-        raise ConfigError(f"column {args.ref_column!r} not found for reference")
-    est = est_cols[args.est_column]
-    ref = ref_cols[args.ref_column]
+    ref_path = args.truth or args.log
+    ref_cols = read_columns(args.truth) if args.truth else est_cols
+    est = _column(est_cols, args.est_column, args.log)
+    ref = _column(ref_cols, args.ref_column, ref_path)
     if len(est) != len(ref):
         raise ConfigError(f"estimate has {len(est)} samples, reference {len(ref)}")
     value = analysis.mse(ref, est)
@@ -258,10 +268,7 @@ def cmd_eval(config, args):
 def cmd_spectrum(config, args):
     if not args.log:
         raise ConfigError("spectrum needs --log")
-    cols = read_columns(args.log)
-    if args.channel not in cols:
-        raise ConfigError(f"column {args.channel!r} not in {args.log}")
-    signal = cols[args.channel]
+    signal = _column(read_columns(args.log), args.channel, args.log)
     sp = analysis.noise_spectrum(signal, config.dt)
     write_columns(_outpath(args, "spectrum.csv"), ["frequency_hz", "magnitude"],
                   [sp.frequencies, sp.magnitudes])

@@ -16,7 +16,7 @@ encoder resolution is rig-specific and has no safe default.
 """
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_args
 
 from .correction import CorrectionParams
 from .errors import ConfigError, ParseError
@@ -126,27 +126,19 @@ class RunConfig:
                                restarts=self.opt_restarts, seed=self.seed)
 
     def to_text(self):
-        """Serialise as key=value lines; floats use repr for exact round-trip."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
+        """Serialise as key=value lines, unset keys left out; a float prints
+        as its repr, so the text re-parses exactly."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{name}={value}\n" for name, value in values if value is not None)
 
 
-_INT_KEYS = {"N_drive", "N_ref", "seed", "opt_max_iterations", "opt_restarts"}
-_STR_KEYS = {"variant", "profile"}
+# Each key's value type, int, str or float, as RunConfig annotates it
+# (an Optional[float] key is a float one).
+_KEY_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 
 
 def parse_config_text(text):
     """Parse key=value text into a :class:`RunConfig`."""
-    known = {f.name for f in fields(RunConfig)}
     values = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -157,15 +149,10 @@ def parse_config_text(text):
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ParseError(f"unknown configuration key {key!r}", line=line_no)
         try:
-            if key in _STR_KEYS:
-                values[key] = val
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            values[key] = _KEY_TYPES[key](val)
         except ValueError:
             raise ParseError(f"bad value {val!r} for key {key!r}", line=line_no) from None
     missing = {"dt_ms", "N_drive"} - values.keys()

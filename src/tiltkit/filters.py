@@ -46,6 +46,8 @@ zero and never meets the tolerance, so the check always stops at the cap;
 on the published rows it reports max |lambda| = 1 - c/50000 with c
 between 1 and 3, a verdict set by the cap rather than by the filter.
 
+A corrected stream enters as its phi_bar and rate_bar columns, which
+:func:`checked_arrays` refuses when empty, unequal or non-finite.
 :func:`run_filter_arrays` runs every fixed-gain variant through one loop
 over plain floats, x(k) = M x(k-1) + G [a(k), b(k)] with M = A - KCA and
 the state padded to three components: ``wb`` takes G = [B - KCB | K] on
@@ -432,26 +434,12 @@ def check_stability(spec, P0=None):
     return StabilityReport(eig, mags, _classify(mags), gain=gain)
 
 
-def default_initial_state(spec, first_sample):
-    """Initial filter state: tilt and rate from the first corrected sample,
-    acceleration and bias estimates zero."""
-    return FilterState(_default_x0(spec, first_sample.phi_bar, first_sample.rate_bar))
-
-
-def corrected_arrays(corrected):
-    """(phi_bar, rate_bar) float arrays of a corrected stream given as a
-    sequence of CorrectedSample or as a (phi_bar, rate_bar) array pair.
+def checked_arrays(phi_bar, rate_bar):
+    """A corrected stream's (phi_bar, rate_bar) columns as float arrays.
 
     Raises :class:`ParameterError`, naming the first bad sample, when the
     stream is empty, the two differ in length or either holds NaN or inf.
     """
-    if (isinstance(corrected, tuple) and len(corrected) == 2
-            and not hasattr(corrected[0], "phi_bar")):
-        return _checked_arrays(*corrected)
-    return _checked_arrays([c.phi_bar for c in corrected], [c.rate_bar for c in corrected])
-
-
-def _checked_arrays(phi_bar, rate_bar):
     phi, rate = np.asarray(phi_bar, dtype=float), np.asarray(rate_bar, dtype=float)
     if len(phi) == 0 or len(rate) != len(phi):
         raise ParameterError(f"unequal or empty stream: {len(phi)} phi_bar, {len(rate)} rate_bar")
@@ -463,22 +451,20 @@ def _checked_arrays(phi_bar, rate_bar):
 
 
 def run_filter(spec, corrected, initial=None):
-    """Run a spec over a corrected stream; returns the per-sample tilt
-    estimates as an ndarray.
+    """:func:`run_filter_arrays` on a ``(phi_bar, rate_bar)`` column pair."""
+    return run_filter_arrays(spec, *corrected, initial)
+
+
+def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
+    """Run a spec over a corrected stream's columns, refused as
+    :func:`checked_arrays` refuses them; returns the tilt estimates.
 
     Every fixed-gain variant runs through one shared loop over plain
     floats (see the module notes; tuning evaluates this hot), the kalman
     variants through the scalar gain recursion; both are algebraically
     identical to iterating :func:`filter_step` / :func:`kalman_step`.
     """
-    phi, rate = corrected_arrays(corrected)
-    return run_filter_arrays(spec, phi, rate, initial)
-
-
-def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
-    """Like :func:`run_filter` but on plain phi_bar/rate_bar arrays, refused
-    as :func:`corrected_arrays` refuses them."""
-    phi, rate = _checked_arrays(phi_bar, rate_bar)
+    phi, rate = checked_arrays(phi_bar, rate_bar)
     if initial is None:
         x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
     else:

@@ -11,6 +11,9 @@ search: it takes about 0.6 s and 40 MB to load, which the commands that
 never optimise (all but ``tune``) would pay.  The scale-factor fit is
 linear least squares and needs no search.
 
+Each tuner takes columns, never per-sample objects: a channel array, an
+(n, 2) array of (p, a_ref) rows, a RawLog or a (phi_bar, rate_bar) pair.
+
 Determinism: every tuner is a pure function of (data, config); restart
 perturbations come from a generator seeded by ``OptimizerConfig.seed``.
 Objective evaluations are pure over immutable inputs, so candidates could
@@ -36,7 +39,7 @@ from .filters import (
     PARAMS,
     canonical_variant,
     check_stability,
-    corrected_arrays,
+    checked_arrays,
     make_filter,
     run_filter_arrays,
 )
@@ -151,26 +154,17 @@ class BiasEstimate:
     n_samples: int
 
 
-def _channel_values(log, channel):
-    if hasattr(log, channel) and not isinstance(log, (list, tuple)):
-        return np.asarray(getattr(log, channel), dtype=float)
-    arr = np.asarray(log, dtype=object)
-    if arr.size and hasattr(arr.flat[0], channel):
-        return np.array([getattr(s, channel) for s in log], dtype=float)
-    return np.asarray(log, dtype=float)
-
-
-def estimate_static_bias(log, channel="gyro_dps", window=100_000):
+def estimate_static_bias(values, window=100_000):
     """Bias of a channel recorded at rest: its compensated-sum mean.
 
-    ``log`` may be a RawLog, a sequence of samples, or a plain array of
-    channel values.  Diagnostics report the min, max and the means over
-    consecutive ``window``-sample blocks (a single block when the log is
-    shorter than one window), so a caller can reject drifting logs.
+    ``values`` is the channel's 1-D column (e.g. ``RawLog.gyro_dps``).
+    Diagnostics report the min, max and the means over consecutive
+    ``window``-sample blocks (a single block when the log is shorter than
+    one window), so a caller can reject drifting logs.
     """
-    values = _channel_values(log, channel)
-    if values.size == 0:
-        raise ParameterError("cannot estimate a bias from an empty log")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ParameterError(f"a bias needs a nonempty 1-D column, got shape {values.shape}")
     n = values.size
     bias = fsum(values) / n
     n_windows = n // window
@@ -200,10 +194,9 @@ def fit_scale_factor(pairs, degree=5):
     That MSE is linear least squares in the coefficients, so
     ``np.linalg.lstsq`` gives the optimum directly.
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=float)
+    arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParameterError("pairs must be a sequence of (p, a_ref) tuples")
+        raise ParameterError("pairs must be an (n, 2) array of (p, a_ref) rows")
     if not 1 <= degree <= 10:
         raise ParameterError(f"degree must be in 1..10, got {degree}")
     p = arr[:, 0]
@@ -307,18 +300,22 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
     that keeps them nonnegative, optionally pinning the first gain to
     ``kalman_init_gains`` = (alpha0, beta0).
 
-    ``corrected`` may be a sequence of CorrectedSample or a (phi_bar,
-    rate_bar) array pair.  ``verification``, when given, is a second
-    (corrected, ref_phi) set evaluated once at the tuned parameters.  Both
-    streams are checked (:func:`corrected_arrays`) before the search.
+    ``corrected`` is a (phi_bar, rate_bar) column pair.  ``verification``,
+    when given, is a second (corrected, ref_phi) set evaluated once at the
+    tuned parameters.  Both streams (:func:`checked_arrays`) and both
+    reference lengths are checked before the search.
     """
     variant = canonical_variant(variant)
-    phi_bar, rate_bar = corrected_arrays(corrected)
+    phi_bar, rate_bar = checked_arrays(*corrected)
     ref = np.asarray(ref_phi, dtype=float)
     if len(ref) != len(phi_bar):
         raise ParameterError("stream and reference must have equal length")
     if verification is not None:
-        v_phi, v_rate = corrected_arrays(verification[0])
+        v_phi, v_rate = checked_arrays(*verification[0])
+        v_ref = np.asarray(verification[1], dtype=float)
+        if len(v_ref) != len(v_phi):
+            raise ParameterError(f"verification reference has {len(v_ref)} samples, "
+                                 f"its stream {len(v_phi)}")
 
     names = PARAMS[variant]
     is_kalman = variant in KALMAN_VARIANTS
@@ -370,5 +367,5 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
                           converged=opt.converged, stability_report=report)
     if verification is not None:
         est = run_filter_arrays(spec, v_phi, v_rate)
-        result.verification_mse = mse(np.asarray(verification[1], dtype=float), est)
+        result.verification_mse = mse(v_ref, est)
     return result

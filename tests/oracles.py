@@ -236,11 +236,9 @@ def shadow_simulate_run(profile, gyro, accel, params, seed):
 
 
 def rowwise_write_log(path, log):
-    """Row-at-a-time writer of a RawLog (or iterable of RawSample)."""
-    from tiltkit.logio import CSV_HEADER, RawLog
+    """Row-at-a-time writer of a RawLog."""
+    from tiltkit.logio import CSV_HEADER
 
-    if not isinstance(log, RawLog):
-        log = RawLog.from_samples(log)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -265,6 +263,19 @@ def rowwise_write_truth(path, truth):
         writer.writerow(TruthLog.COLUMNS)
         for k in range(len(truth)):
             writer.writerow([repr(float(getattr(truth, c)[k])) for c in TruthLog.COLUMNS])
+
+
+def rowwise_trajectories_csv(path, columns):
+    """``Report.write``'s trajectories.csv of 4 or 5 columns, one
+    ``csv.writer`` row per sample; no file when there are no rows."""
+    header = ["t", "phi_true_deg", "phi_bar_deg", "phi_hat_deg", "arctan_raw_deg"]
+    if not len(columns[0]):
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header[:len(columns)])
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def rowwise_estimate_csv(path, t, phi_hat, corrected, debug_intermediates=False):

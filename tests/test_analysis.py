@@ -4,6 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import rowwise_trajectories_csv
+from test_logio import SPECIAL_FLOATS
+
 from tiltkit.analysis import (
     Report,
     Spectrum,
@@ -16,6 +19,7 @@ from tiltkit.analysis import (
 )
 from tiltkit.errors import ParameterError
 from tiltkit.filters import check_stability, make_filter
+from tiltkit.logio import BLOCK_ROWS
 from tiltkit.tuning import TuningResult
 from tiltkit import reference as ref
 
@@ -205,13 +209,32 @@ class TestMakeReport:
                 elif value is None:
                     assert parsed[key] == ""
 
-    def test_trajectory_rows(self):
+    def test_trajectory_rows(self, tmp_path):
         t = np.arange(5) * 0.01
         report = make_report(_result_rows()[:1],
                              trajectories=(t, t * 2, t * 2 + 0.1, t * 2 + 0.05))
-        assert len(report.trajectory_rows) == 5
-        assert set(report.trajectory_rows[0]) == {
-            "t", "phi_true_deg", "phi_bar_deg", "phi_hat_deg"}
+        assert list(report.trajectories) == ["t", "phi_true_deg", "phi_bar_deg", "phi_hat_deg"]
+        assert all(len(c) == 5 and c.dtype == float for c in report.trajectories.values())
+        report.write(tmp_path)
+        header = (tmp_path / "trajectories.csv").read_text().splitlines()[0]
+        assert header == "t,phi_true_deg,phi_bar_deg,phi_hat_deg"
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_trajectories_csv_matches_rowwise_writer(self, tmp_path, n, k):
+        columns = [np.roll(np.resize(SPECIAL_FLOATS, n), c) for c in range(k)]
+        make_report(_result_rows()[:1], trajectories=columns).write(tmp_path)
+        rowwise_trajectories_csv(tmp_path / "old.csv", columns)
+        new, old = tmp_path / "trajectories.csv", tmp_path / "old.csv"
+        assert new.exists() == old.exists() == (n > 0)
+        if n:
+            assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("trajectories", [
+        [np.zeros(3)] * 3, [np.zeros(3)] * 6, [np.zeros(3)] * 3 + [np.zeros(2)]])
+    def test_trajectories_refused_unless_4_or_5_equal_columns(self, trajectories):
+        with pytest.raises(ParameterError, match="trajectories"):
+            make_report(_result_rows()[:1], trajectories=trajectories)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

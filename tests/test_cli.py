@@ -1,3 +1,6 @@
+from dataclasses import fields
+from typing import Optional, get_type_hints
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,20 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(ParseError):
             parse_config_text("dt_ms=ten\nN_drive=100\n")
+
+    def test_every_key_parses_to_its_annotated_type(self):
+        # every key set to "7" (the str keys to a name): float keys must
+        # read 7.0, int keys 7
+        hints = get_type_hints(RunConfig)
+        text = "".join(f"{f.name}={dict(variant='wb', profile='zero').get(f.name, '7')}\n"
+                       for f in fields(RunConfig))
+        cfg = parse_config_text(text)
+        for name, hint in hints.items():
+            want = float if hint == Optional[float] else hint
+            assert type(getattr(cfg, name)) is want, name
+        assert {name for name, hint in hints.items() if hint is int} == {
+            "N_drive", "N_ref", "seed", "opt_max_iterations", "opt_restarts"}
+        assert {name for name, hint in hints.items() if hint is str} == {"variant", "profile"}
 
     @pytest.mark.parametrize("variant", PARAMS)
     def test_filter_params_in_registry_order(self, variant):
@@ -117,7 +134,8 @@ class TestCommands:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         log = parse_log(out / "log.csv")
         corrected = run_correction(log, cfg.correction_params())
-        phi_hat = run_filter(make_filter(cfg.variant, cfg.filter_params(), cfg.dt), corrected)
+        phi_hat = run_filter(make_filter(cfg.variant, cfg.filter_params(), cfg.dt),
+                             ([c.phi_bar for c in corrected], [c.rate_bar for c in corrected]))
         for debug in (False, True):
             dest = tmp_path / f"run_{debug}"
             assert main(["run", "--config", str(cfg_path), "--out", str(dest),
@@ -302,6 +320,46 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 3
         assert "line 1, column phi_hat_deg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, column", [("eval", "--est-column"),
+                                                 ("eval", "--ref-column"),
+                                                 ("spectrum", "--channel")])
+    def test_missing_column_exit_4(self, tmp_path, capsys, command, column):
+        cfg_path, _ = write_config(tmp_path)
+        est = tmp_path / "est.csv"
+        est.write_text("t,phi_hat_deg,phi_deg\n0,0.1,0.1\n0.01,0.1,0.2\n")
+        assert main([command, "--config", str(cfg_path), "--log", str(est),
+                     "--out", str(tmp_path / "out"), column, "phi_deg_x"]) == EXIT_CONTRACT
+        assert f"column 'phi_deg_x' not in {est}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, column", [("eval", "--est-column"),
+                                                 ("eval", "--ref-column"),
+                                                 ("spectrum", "--channel")])
+    def test_empty_field_in_column_exit_4(self, tmp_path, capsys, command, column):
+        # a blank line before the empty field: the error names the file's line
+        cfg_path, _ = write_config(tmp_path)
+        est = tmp_path / "est.csv"
+        est.write_text("t,phi_hat_deg,phi_deg,n\n0,0.1,0.1,1\n\n0.01,0.1,0.2,\n0.02,0.1,0.2,3\n")
+        assert main([command, "--config", str(cfg_path), "--log", str(est),
+                     "--out", str(tmp_path / "out"), column, "n"]) == EXIT_CONTRACT
+        assert f"column 'n' of {est} has an empty field on line 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["eval", "--est-column", "ref_count",
+                                       "--ref-column", "gyro_dps"],
+                                      ["spectrum", "--channel", "ref_count"]])
+    def test_simulated_log_without_reference_counts_exit_4(self, tmp_path, capsys, argv):
+        # simulate writes ref_count as an empty field on every row
+        cfg_path, _ = write_config(tmp_path, duration_s=0.1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg_path), "--log", str(out / "log.csv"),
+                            "--out", str(tmp_path / "scored")]) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert "column 'ref_count'" in err and "empty field on line 2" in err
+        assert not (tmp_path / "scored").exists()
 
     def test_calibrate_static(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

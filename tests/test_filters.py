@@ -1,6 +1,5 @@
 from dataclasses import replace
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,8 +412,7 @@ class TestRunFilter:
         for variant, params, kind in cases:
             spec = F.make_filter(variant, params, dt)
             fast = F.run_filter_arrays(spec, phi, rate)
-            st = F.default_initial_state(
-                spec, type("S", (), {"phi_bar": phi[0], "rate_bar": rate[0]})())
+            st = F.FilterState(F._default_x0(spec, phi[0], rate[0]))
             slow = [st.x_hat[0]]
             for k in range(1, len(phi)):
                 if kind == "wb":
@@ -440,17 +438,10 @@ class TestRunFilter:
             slow.append(ks.x_hat[0])
         assert np.max(np.abs(fast - np.array(slow))) < 1e-10
 
-    def test_two_sample_tuple_is_a_stream_not_an_array_pair(self):
-        spec = F.make_filter("wb", {"alpha": 0.1, "beta": 0.0}, 0.01)
-        stream = (SimpleNamespace(phi_bar=1.0, rate_bar=2.0),
-                  SimpleNamespace(phi_bar=3.0, rate_bar=4.0))
-        est = F.run_filter(spec, stream)
-        assert np.array_equal(est, F.run_filter_arrays(spec, [1.0, 3.0], [2.0, 4.0]))
-
     def test_empty_stream_rejected(self):
         spec = F.make_filter("wb", {"alpha": 0.1, "beta": 0.0}, 0.01)
         with pytest.raises(ParameterError):
-            F.run_filter(spec, [])
+            F.run_filter(spec, ([], []))
 
     @pytest.mark.parametrize("variant", F.ALL_VARIANTS)
     def test_unequal_lengths_rejected(self, variant):

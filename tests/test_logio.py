@@ -204,12 +204,10 @@ def test_write_log_of_samples_matches_rowwise_writer(tmp_path, n):
     samples = [RawSample(t, g, ax, ay, enc_count=k - 3, ref_count=None if k % 3 else k,
                          enc_missing=k % 5 == 0)
                for k, (t, g, ax, ay) in enumerate(floats.T.tolist())]
-    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, samples)
-    write_log(tmp_path / "from_iterator.csv", iter(samples))
-    assert (tmp_path / "from_iterator.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog.from_samples(samples))
     no_ref = [RawSample(s.t, s.gyro_dps, s.acc_x_mps2, s.acc_y_mps2, s.enc_count)
               for s in samples]
-    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, no_ref)
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog.from_samples(no_ref))
 
 
 @pytest.mark.parametrize("n", WRITER_SIZES)

@@ -126,7 +126,7 @@ class TestEstimateStaticBias:
 
     def test_rawlog_channel_extraction(self):
         truth, log, params = simulate_rig(duration=1.0, gyro_noise=0.1, seed=3)
-        est = estimate_static_bias(log, "gyro_dps")
+        est = estimate_static_bias(log.gyro_dps)
         assert est.bias == pytest.approx(math.fsum(log.gyro_dps) / len(log), abs=1e-12)
 
     def test_empty_rejected(self):
@@ -384,6 +384,18 @@ class TestTuneFilter:
         with pytest.raises(ParameterError):
             tune_filter("wb", *args, 0.01, x0=[0.00185, -0.00018],
                         verification=verification)
+
+    def test_verification_reference_length_refused_before_search(self, noisy_stream,
+                                                                 monkeypatch):
+        stream, ref_phi = noisy_stream
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(tuning, "nelder_mead", no_search)
+        with pytest.raises(ParameterError, match="verification"):
+            tune_filter("wb", stream, ref_phi, 0.01, x0=[0.00185, -0.00018],
+                        verification=(stream, ref_phi[:-1]))
 
     def test_default_seeds_cover_registry(self):
         # the one per-variant table kept outside filters must follow PARAMS
