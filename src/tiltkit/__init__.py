@@ -16,17 +16,14 @@ from .correction import (
     CorrectionState,
     correct_accel,
     correct_gyro,
-    corrected_tilt,
     correction_pipeline_step,
     discrete_derivative,
     encoder_velocity,
     lowpass_step,
-    motion_accelerations,
     run_correction,
 )
 from .errors import (
     ConfigError,
-    DegenerateTiltError,
     FilterConfigError,
     FilterDesignError,
     OptimizationFailure,
@@ -54,12 +51,8 @@ from .model import (
     AccelErrorModel,
     GyroErrorModel,
     MotionProfile,
-    RobotState,
     default_dynamic_profile,
     simulate_run,
-    step_kinematics,
-    synthesize_accel,
-    synthesize_gyro,
     zero_motion_profile,
 )
 from .tuning import (

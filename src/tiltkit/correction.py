@@ -5,8 +5,11 @@ distortion, compensates the motion-induced accelerations sensed by an IMU
 mounted off the wheel axis (centrifugal, angular-acceleration and
 translational terms, the latter reconstructed from the drive encoder), and
 produces the corrected tilt ``phi_bar`` and corrected rate ``rate_bar``.
-Every sample, the first included, gets the same tilt rule; before sample 0
-the previous tilt is the vertical prior, 0 degrees.
+Every sample, the first included, gets the same tilt rule
+(:func:`tilt_or_previous`): the quadrant-aware arctangent of the
+compensated components, in (-180, 180], or the previous tilt, flagged
+degenerate, where both arguments are zero.  Before sample 0 the previous
+tilt is the vertical prior, 0 degrees.
 
 Angle convention: degrees end to end.  Radians appear only inside the
 motion terms, converted with pi/180.
@@ -34,7 +37,7 @@ from math import atan2, cos, degrees, isfinite, pi, sin
 
 import numpy as np
 
-from .errors import DegenerateTiltError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -175,53 +178,26 @@ def angular_terms(rate_r, rate_f, prev_rate_f, params):
     return rate_r * rate_r * params.R, discrete_derivative(rate_f, prev_rate_f, params.dt) * params.R
 
 
-def motion_accelerations(rate_bar, state, params):
-    """Centrifugal and angular-acceleration terms for the current rate.
-
-    Returns ``(a_c, a_e, rate_filtered)`` where ``rate_filtered`` (rad/s) is
-    the new low-pass output to be stored for the next step.
-    """
-    rate_r = _to_rad(rate_bar)
-    rate_f = lowpass_step(rate_r, state.prev_rate_filtered, params.T_omega, params.dt)
-    a_c, a_e = angular_terms(rate_r, rate_f, state.prev_rate_filtered, params)
-    return a_c, a_e, rate_f
-
-
 def project_translational(a_t, prev_phi_bar):
     """Projections ``(a_t_x, a_t_y)`` of a_t on the previous corrected tilt (degrees)."""
     prev_rad = _to_rad(prev_phi_bar)
     return a_t * cos(prev_rad), a_t * sin(prev_rad)
 
 
-def raw_arctan_tilt(acc_x, acc_y):
-    """Uncompensated tilt straight from the accelerometer pair, degrees."""
-    phi = degrees(atan2(acc_x, acc_y))
-    if phi <= -180.0:
-        phi += 360.0
-    return phi
-
-
-def corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y):
-    """Tilt from the compensated acceleration components, degrees.
+def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
+    """Tilt from the compensated acceleration components: ``(phi_bar, degenerate)``.
 
     Quadrant-aware arctangent of (ax_bar + a_e + a_t_x) over
-    (ay_bar + a_c - a_t_y); result in (-180, 180].  Raises
-    :class:`DegenerateTiltError` when both arguments are zero so the caller
-    can substitute the previous tilt and keep the stream length intact.
+    (ay_bar + a_c - a_t_y), in degrees in (-180, 180].  Where both
+    arguments are zero the tilt is undefined, and the result is
+    ``(prev_phi_bar, True)`` so that the stream keeps its length.
     """
     num = ax_bar + a_e + a_t_x
     den = ay_bar + a_c - a_t_y
     if num == 0.0 and den == 0.0:
-        raise DegenerateTiltError("both arctangent arguments are zero")
-    return raw_arctan_tilt(num, den)
-
-
-def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
-    """``(phi_bar, degenerate)``: :func:`corrected_tilt`, or ``prev_phi_bar`` where undefined."""
-    try:
-        return corrected_tilt(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y), False
-    except DegenerateTiltError:
         return prev_phi_bar, True
+    phi = degrees(atan2(num, den))
+    return (phi + 360.0 if phi <= -180.0 else phi), False
 
 
 def motion_terms(rate_bar, enc_count, state, params):
@@ -233,7 +209,9 @@ def motion_terms(rate_bar, enc_count, state, params):
     v_f = lowpass_step(v_t, state.prev_v_filtered, params.T_v, params.dt)
     a_t = discrete_derivative(v_f, state.prev_v_filtered, params.dt)
     a_t_x, a_t_y = project_translational(a_t, state.prev_phi_bar)
-    a_c, a_e, rate_f = motion_accelerations(rate_bar, state, params)
+    rate_r = _to_rad(rate_bar)
+    rate_f = lowpass_step(rate_r, state.prev_rate_filtered, params.T_omega, params.dt)
+    a_c, a_e = angular_terms(rate_r, rate_f, state.prev_rate_filtered, params)
     return a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f
 
 

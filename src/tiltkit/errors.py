@@ -1,7 +1,11 @@
 """Exception taxonomy shared by all tiltkit modules.
 
 Each class maps to one CLI exit code (see ``tiltkit.cli``): parse problems
-exit with 3, numeric/contract violations with 4, optimizer failures with 5.
+(:class:`ParseError`, :class:`OrderingError`) exit with 3, optimizer
+failures (:class:`OptimizationFailure`) with 5, and every other class, a
+numeric or contract violation, with 4.  What a run carries on through is
+data, not an exception: a sample whose tilt is undefined is flagged
+``degenerate`` and keeps the previous tilt.
 """
 
 
@@ -22,10 +26,6 @@ class SimulationError(TiltkitError):
     def __init__(self, sample_index, message=""):
         self.sample_index = sample_index
         super().__init__(message or f"non-finite value at sample {sample_index}")
-
-
-class DegenerateTiltError(TiltkitError):
-    """Both arctangent arguments are zero; the tilt angle is undefined."""
 
 
 class FilterConfigError(TiltkitError, ValueError):

@@ -23,9 +23,10 @@ gain each step from the covariance recursion (identical algorithms, the
 tags record whether the covariances came from noise analysis or from
 optimisation).  The gain sequence depends only on (q1, q2, r, P0, dt) and
 never on the data, so one scalar recursion produces it for both the filter
-loop and the steady-state search.  P0 comes from :func:`kalman_init_P`
-when the spec carries ``alpha0``/``beta0`` (the first gain then equals
-them), else it is the identity.  :func:`kalman_step` is the matrix-form
+loop and the steady-state search.  P0 is part of the spec: it comes from
+:func:`kalman_init_P` when the spec carries ``alpha0``/``beta0`` (the
+first gain then equals them), else it is the identity, and no function
+takes another.  :func:`kalman_step` is the matrix-form
 reference of one cycle: covariance prediction uses A P A^T + Q and P is
 re-symmetrised after every update to suppress floating-point drift.
 
@@ -258,21 +259,14 @@ def filter_step(spec, state, u=None, y_bar=None):
     return FilterState(x_hat=x_new)
 
 
-def make_kalman_state(spec, phi0=0.0, rate_bias0=0.0, P0=None):
-    """Initial :class:`KalmanState` for a kalman-variant spec.
-
-    When ``P0`` is not given it comes from :func:`kalman_init_P` if the spec
-    carries ``alpha0``/``beta0`` (first gain matches those values), else it
-    falls back to the identity.
-    """
+def make_kalman_state(spec, phi0=0.0):
+    """Initial :class:`KalmanState` for a kalman-variant spec: tilt ``phi0``,
+    zero residual bias and the spec's P0 (see :func:`_initial_P`)."""
     if spec.variant not in KALMAN_VARIANTS:
         raise FilterConfigError(f"{spec.variant} is not a kalman variant")
     q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
     Q = np.diag([q1 * spec.dt, q2])
-    if P0 is None:
-        P0 = _initial_P(spec)
-    return KalmanState(x_hat=np.array([phi0, rate_bias0], dtype=float),
-                       P=np.asarray(P0, dtype=float).copy(), Q=Q, r=float(r))
+    return KalmanState(x_hat=np.array([phi0, 0.0]), P=_initial_P(spec), Q=Q, r=float(r))
 
 
 def kalman_step(ks, u, y_bar, dt):
@@ -395,25 +389,24 @@ def _classify(magnitudes):
     return "stable"
 
 
-def steady_kalman_gain(spec, P0=None, tol=_RICCATI_TOL, max_iter=_RICCATI_MAX_ITER):
-    """Iterate the covariance recursion until the gain settles.
+def steady_kalman_gain(spec, max_iter=_RICCATI_MAX_ITER):
+    """Iterate the covariance recursion from the spec's P0 until the gain settles.
 
     Returns ``(k1, k2)``: the first gain whose change from the step before
-    is below ``tol`` in both entries, else the gain of step ``max_iter``.
-    With q2 = 0 the bias gain decays towards zero like 1/k (or faster while
-    k1 is still falling) and never meets ``tol``, so the search always
-    runs to ``max_iter`` and returns that truncation.
+    is below ``_RICCATI_TOL`` in both entries, else the gain of step
+    ``max_iter``.  With q2 = 0 the bias gain decays towards zero like 1/k
+    (or faster while k1 is still falling) and never meets the tolerance, so
+    the search always runs to ``max_iter`` and returns that truncation.
     """
     k1 = k2 = float("inf")
-    gains = _kalman_gains(spec, _initial_P(spec) if P0 is None else P0)
-    for nk1, nk2 in islice(gains, max_iter):
-        if abs(nk1 - k1) < tol and abs(nk2 - k2) < tol:
+    for nk1, nk2 in islice(_kalman_gains(spec, _initial_P(spec)), max_iter):
+        if abs(nk1 - k1) < _RICCATI_TOL and abs(nk2 - k2) < _RICCATI_TOL:
             return nk1, nk2
         k1, k2 = nk1, nk2
     return k1, k2
 
 
-def check_stability(spec, P0=None):
+def check_stability(spec):
     """Eigenvalue stability of a spec's error dynamics.
 
     Fixed-gain variants evaluate [A - KCA] directly; kalman variants first
@@ -423,7 +416,7 @@ def check_stability(spec, P0=None):
     """
     K, gain = spec.K, None
     if spec.variant in KALMAN_VARIANTS:
-        gain = steady_kalman_gain(spec, P0=P0)
+        gain = steady_kalman_gain(spec)
         K = np.array([[gain[0]], [gain[1]]])
     M = spec.A - K @ spec.C @ spec.A
     if np.isfinite(M).all():
@@ -450,14 +443,17 @@ def checked_arrays(phi_bar, rate_bar):
     return phi, rate
 
 
-def run_filter(spec, corrected, initial=None):
+def run_filter(spec, corrected):
     """:func:`run_filter_arrays` on a ``(phi_bar, rate_bar)`` column pair."""
-    return run_filter_arrays(spec, *corrected, initial)
+    return run_filter_arrays(spec, *corrected)
 
 
-def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
+def run_filter_arrays(spec, phi_bar, rate_bar):
     """Run a spec over a corrected stream's columns, refused as
     :func:`checked_arrays` refuses them; returns the tilt estimates.
+
+    The state starts from the stream's first sample (see
+    :func:`_default_x0`), so the first estimate is ``phi_bar[0]``.
 
     Every fixed-gain variant runs through one shared loop over plain
     floats (see the module notes; tuning evaluates this hot), the kalman
@@ -465,13 +461,7 @@ def run_filter_arrays(spec, phi_bar, rate_bar, initial=None):
     identical to iterating :func:`filter_step` / :func:`kalman_step`.
     """
     phi, rate = checked_arrays(phi_bar, rate_bar)
-    if initial is None:
-        x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
-    else:
-        x0 = np.asarray(initial.x_hat, dtype=float)
-        if x0.shape != (spec.n_states,):
-            raise ParameterError(f"initial state has shape {x0.shape}, "
-                                 f"spec wants ({spec.n_states},)")
+    x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
 
     out = np.empty(len(phi))
     out[0] = x0[0]

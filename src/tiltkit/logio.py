@@ -63,10 +63,11 @@ class RawLog:
             self.enc_missing = np.zeros(n, dtype=bool)
         else:
             self.enc_missing = np.asarray(enc_missing, dtype=bool)
-        for name in ("gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count", "enc_missing"):
-            if len(getattr(self, name)) != n:
-                raise ParameterError(
-                    f"column {name} has length {len(getattr(self, name))}, expected {n}")
+        for name in ("gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count", "ref_count",
+                     "enc_missing"):
+            column = getattr(self, name)
+            if column is not None and len(column) != n:
+                raise ParameterError(f"column {name} has length {len(column)}, expected {n}")
 
     def __len__(self):
         return len(self.t)
@@ -245,9 +246,15 @@ def write_columns(path, header, columns, line_end="\n"):
     bit-exactly, ints print as digits.  A ``None`` column is empty on every
     row, and a ``(values, blank)`` pair is empty where the boolean array
     ``blank`` is set.  The first column must be an array; it fixes the
-    row count.  Rows are formatted :data:`BLOCK_ROWS` at a time.
+    row count, and a column of another length is a :class:`ParameterError`
+    raised before the file is opened.  Rows are formatted
+    :data:`BLOCK_ROWS` at a time.
     """
     n = len(columns[0])
+    for name, column in zip(header, columns):
+        for part in (() if column is None else column if isinstance(column, tuple) else (column,)):
+            if len(part) != n:
+                raise ParameterError(f"column {name} has {len(part)} rows, {header[0]} has {n}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + line_end)
         for start in range(0, n, BLOCK_ROWS):

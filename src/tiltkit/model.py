@@ -43,22 +43,6 @@ from .reference import ACCEL_SATURATION_MPS2, GRAVITY, GYRO_SATURATION_DPS
 
 
 @dataclass(frozen=True)
-class RobotState:
-    """Ground-truth motion of the robot at one instant."""
-
-    phi: float = 0.0        # tilt from vertical, degrees
-    phi_dot: float = 0.0    # angular rate, deg/s
-    phi_ddot: float = 0.0   # angular acceleration, deg/s^2
-    x_pos: float = 0.0      # progressive position, m
-    v_t: float = 0.0        # translational velocity, m/s
-    a_t: float = 0.0        # translational acceleration, m/s^2
-
-    def is_finite(self):
-        return all(isfinite(v) for v in
-                   (self.phi, self.phi_dot, self.phi_ddot, self.x_pos, self.v_t, self.a_t))
-
-
-@dataclass(frozen=True)
 class GyroErrorModel:
     """Additive bias + zero-mean white noise + symmetric full-scale clamp."""
 
@@ -163,44 +147,12 @@ def euler_step(p, p_dot, p_ddot, dt):
     return p + p_dot * dt + 0.5 * p_ddot * dt * dt, p_dot + p_ddot * dt
 
 
-def step_kinematics(state, dt):
-    """Advance the state one forward-Euler step of length dt.
-
-    The tilt and the translational triplet each take one :func:`euler_step`;
-    the accelerations carry over unchanged.
-    """
-    if not dt > 0:
-        raise ParameterError("dt must be positive")
-    if not state.is_finite():
-        raise ParameterError(f"non-finite robot state: {state}")
-    phi, phi_dot = euler_step(state.phi, state.phi_dot, state.phi_ddot, dt)
-    x_pos, v_t = euler_step(state.x_pos, state.v_t, state.a_t, dt)
-    return RobotState(phi, phi_dot, state.phi_ddot, x_pos, v_t, state.a_t)
-
-
 def _clamp(x, limit):
     if x > limit:
         return limit
     if x < -limit:
         return -limit
     return x
-
-
-def synthesize_gyro(true_rate, model, rng, size=None):
-    """Corrupt a true angular rate: clamp(rate + bias + noise, +/-saturation).
-
-    With ``size`` given, returns an ndarray of independent draws for the
-    same true rate (handy for long static logs).
-    """
-    if size is not None:
-        vals = np.full(size, true_rate + model.bias, dtype=float)
-        if model.noise_std > 0:
-            vals += rng.normal(0.0, model.noise_std, size)
-        return np.clip(vals, -model.saturation, model.saturation)
-    value = true_rate + model.bias
-    if model.noise_std > 0:
-        value += rng.normal(0.0, model.noise_std)
-    return _clamp(value, model.saturation)
 
 
 def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
@@ -227,25 +179,6 @@ def _corrupt_accel_pair(phi_deg, a_e, a_c, a_t_x, a_t_y, model, nx, ny):
     ax_true, ay_true = true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y)
     return (_corrupt_accel_axis(ax_true, model.bias_x, model.scale_poly_x, nx, model.saturation),
             _corrupt_accel_axis(ay_true, model.bias_y, model.scale_poly_y, ny, model.saturation))
-
-
-def synthesize_accel(state, model, params, rng):
-    """Corrupt the ideal accelerometer pair implied by a true robot state.
-
-    Motion terms come from the true state directly: a_c from the true rate,
-    a_e from the true angular acceleration, translational projections from
-    the true tilt.  The full simulator instead mirrors the correction
-    chain; see :func:`simulate_run`.
-    """
-    rate_r = radians(state.phi_dot)
-    a_c = rate_r * rate_r * params.R
-    a_e = radians(state.phi_ddot) * params.R
-    phi_r = radians(state.phi)
-    a_t_x = state.a_t * cos(phi_r)
-    a_t_y = state.a_t * sin(phi_r)
-    nx = rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
-    ny = rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
-    return _corrupt_accel_pair(state.phi, a_e, a_c, a_t_x, a_t_y, model, nx, ny)
 
 
 def simulate_run(profile, gyro, accel, params, seed):

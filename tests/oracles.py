@@ -3,8 +3,9 @@
 The two-phase functions write out each variant's predict/correct equations
 directly; the textbook Kalman filter is a plain matrix-form implementation;
 the unrolled fixed-gain loops keep one recurrence per variant, each with
-its own term order; the shadow simulator generates one sample at a time
-and runs the streaming correction step on each; the row-wise CSV writers
+its own term order; the shadow simulator writes out its own kinematics and
+sensor models, generates one sample at a time and runs the streaming
+correction step on each; the row-wise CSV writers
 format one row at a time, through ``csv.writer`` for the logs; the
 row-wise CSV readers parse one field at a time with ``float``/``int``
 into growable ``array.array`` columns.  All stay deliberately separate
@@ -80,7 +81,7 @@ def textbook_kalman(phi_bar, rate_bar, dt, q1, q2, r, P0, x0):
     return out
 
 
-def unrolled_run_filter(spec, phi_bar, rate_bar, initial=None):
+def unrolled_run_filter(spec, phi_bar, rate_bar):
     """Per-variant unrolled loops of the fixed-gain filters.
 
     The complementary, ``wb``, ``wob``/``abtg`` and ``wa_*`` recurrences each
@@ -91,10 +92,7 @@ def unrolled_run_filter(spec, phi_bar, rate_bar, initial=None):
     from tiltkit.filters import ABTG, COMPLEMENTARY, WB, WOB, _default_x0
 
     n = len(phi_bar)
-    if initial is None:
-        x0 = _default_x0(spec, float(phi_bar[0]), float(rate_bar[0]))
-    else:
-        x0 = np.asarray(initial.x_hat, dtype=float)
+    x0 = _default_x0(spec, float(phi_bar[0]), float(rate_bar[0]))
     out = np.empty(n)
     out[0] = x0[0]
 
@@ -156,62 +154,72 @@ def unrolled_run_filter(spec, phi_bar, rate_bar, initial=None):
 def shadow_simulate_run(profile, gyro, accel, params, seed):
     """Per-sample reference simulator with a shadow correction pipeline.
 
-    Draws each sample's noise with ``rng.normal`` (gyro, x', y'), embeds the
+    Writes out its own forward-Euler truth, gyro model (bias, noise, clamp)
+    and accelerometer model (gravity projection, scale factor, bias, noise,
+    clamp), and imports nothing from :mod:`tiltkit.model`.  Draws each
+    sample's noise with ``rng.normal`` (gyro, x', y'), embeds the
     interference from :func:`tiltkit.correction.motion_terms` on the shadow
     state, and advances the shadow by running
     :func:`tiltkit.correction.correction_pipeline_step` on every generated
     sample.  ``simulate_run`` must return the same logs bit for bit.
     """
-    from math import floor, pi
+    from math import cos, floor, pi, radians, sin
 
     from tiltkit.correction import CorrectionState, correction_pipeline_step, motion_terms
     from tiltkit.errors import SimulationError
     from tiltkit.logio import RawLog, RawSample, TruthLog
-    from tiltkit.model import RobotState, step_kinematics, synthesize_gyro, true_accel_components
+    from tiltkit.reference import GRAVITY
+
+    def clamp(value, saturation):
+        return min(max(value, -saturation), saturation)
 
     def corrupt(a_true, bias, poly, noise, saturation):
         acc = 0.0
         for c in reversed(poly):
             acc = acc * a_true + c
-        return min(max(a_true + acc * a_true + bias + noise, -saturation), saturation)
+        return clamp(a_true + acc * a_true + bias + noise, saturation)
 
     dt = profile.dt
     n = profile.n_samples
     rng = np.random.default_rng(seed)
-    state = RobotState(phi=profile.phi0, phi_dot=profile.phi_dot0,
-                       phi_ddot=profile.phi_ddot_fn(0.0), a_t=profile.a_t_fn(0.0))
+    phi, phi_dot, x, v = profile.phi0, profile.phi_dot0, 0.0, 0.0
+    phi_ddot, a_t = profile.phi_ddot_fn(0.0), profile.a_t_fn(0.0)
     cols = {name: np.empty(n) for name in ("t", "phi", "phi_dot", "phi_ddot", "x", "v",
                                            "a_t", "gyro", "acc_x", "acc_y")}
     enc = np.empty(n, dtype=np.int64)
     pulses_per_m = params.N_drive / (2.0 * pi * params.R_w)
     pulse_residual = 0.0
-    prev_x = state.x_pos
+    prev_x = x
     shadow = CorrectionState()
 
     for k in range(n):
-        if not state.is_finite():
+        if not all(map(isfinite, (phi, phi_dot, phi_ddot, x, v, a_t))):
             raise SimulationError(k)
         t = k * dt
-        for name, value in (("t", t), ("phi", state.phi), ("phi_dot", state.phi_dot),
-                            ("phi_ddot", state.phi_ddot), ("x", state.x_pos),
-                            ("v", state.v_t), ("a_t", state.a_t)):
+        for name, value in (("t", t), ("phi", phi), ("phi_dot", phi_dot),
+                            ("phi_ddot", phi_ddot), ("x", x), ("v", v), ("a_t", a_t)):
             cols[name][k] = value
         if k == 0:
             n_pulses = 0
         else:
-            pulse_residual += (state.x_pos - prev_x) * pulses_per_m
+            pulse_residual += (x - prev_x) * pulses_per_m
             n_pulses = floor(pulse_residual)
             pulse_residual -= n_pulses
-        prev_x = state.x_pos
+        prev_x = x
         enc[k] = n_pulses
 
-        gyro_meas = synthesize_gyro(state.phi_dot, gyro, rng)
+        gyro_meas = phi_dot + gyro.bias
+        if gyro.noise_std > 0:
+            gyro_meas += rng.normal(0.0, gyro.noise_std)
+        gyro_meas = clamp(gyro_meas, gyro.saturation)
         if k == 0:
             a_c = a_e = a_t_x = a_t_y = 0.0
         else:
             a_c, a_e, _a_t, a_t_x, a_t_y, _rf, _vf = motion_terms(
                 gyro_meas - params.gyro_bias, n_pulses, shadow, params)
-        ax_true, ay_true = true_accel_components(state.phi, a_e, a_c, a_t_x, a_t_y)
+        phi_r = radians(phi)
+        ax_true = GRAVITY * sin(phi_r) - a_e - a_t_x
+        ay_true = GRAVITY * cos(phi_r) - a_c + a_t_y
         nx = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
         ny = rng.normal(0.0, accel.noise_std) if accel.noise_std > 0 else 0.0
         ax_meas = corrupt(ax_true, accel.bias_x, accel.scale_poly_x, nx, accel.saturation)
@@ -222,12 +230,11 @@ def shadow_simulate_run(profile, gyro, accel, params, seed):
                         acc_y_mps2=ay_meas, enc_count=n_pulses)
         _, shadow = correction_pipeline_step(raw, params, shadow)
 
-        state = step_kinematics(state, dt)
+        # Forward Euler, then the profile drives the next accelerations.
+        phi, phi_dot = phi + phi_dot * dt + 0.5 * phi_ddot * dt * dt, phi_dot + phi_ddot * dt
+        x, v = x + v * dt + 0.5 * a_t * dt * dt, v + a_t * dt
         t_next = (k + 1) * dt
-        state = RobotState(phi=state.phi, phi_dot=state.phi_dot,
-                           phi_ddot=profile.phi_ddot_fn(t_next),
-                           x_pos=state.x_pos, v_t=state.v_t,
-                           a_t=profile.a_t_fn(t_next))
+        phi_ddot, a_t = profile.phi_ddot_fn(t_next), profile.a_t_fn(t_next)
 
     truth = TruthLog(cols["t"], cols["phi"], cols["phi_dot"], cols["phi_ddot"],
                      cols["x"], cols["v"], cols["a_t"])

@@ -18,17 +18,17 @@ from tiltkit.correction import (
     correct_accel,
     correct_columns,
     correct_gyro,
-    corrected_tilt,
     correction_pipeline_step,
     discrete_derivative,
     encoder_velocity,
     lowpass_step,
-    motion_accelerations,
+    motion_terms,
     run_correction,
     run_correction_arrays,
     scale_factor,
+    tilt_or_previous,
 )
-from tiltkit.errors import DegenerateTiltError, ParameterError
+from tiltkit.errors import ParameterError
 from tiltkit.filters import make_filter, run_filter_arrays
 from tiltkit.logio import RawLog, RawSample
 from tiltkit.model import (AccelErrorModel, GyroErrorModel, default_dynamic_profile, simulate_run,
@@ -154,7 +154,7 @@ class TestMotionAccelerations:
     def test_zero_history(self):
         params = rig_params(with_errors=False)
         state = CorrectionState(initialized=True)
-        a_c, a_e, _ = motion_accelerations(0.0, state, params)
+        a_c, a_e, *_ = motion_terms(0.0, 0, state, params)
         assert a_c == 0.0 and a_e == 0.0
 
     def test_steady_rate_centrifugal(self):
@@ -163,9 +163,8 @@ class TestMotionAccelerations:
         rate_dps = math.degrees(1.0)
         state = CorrectionState(initialized=True)
         a_c = a_e = None
-        rf = 0.0
         for _ in range(500):
-            a_c, a_e, rf = motion_accelerations(rate_dps, state, params)
+            a_c, a_e, _, _, _, rf, _ = motion_terms(rate_dps, 0, state, params)
             state = CorrectionState(prev_rate_filtered=rf, initialized=True)
         assert a_c == pytest.approx(0.135, rel=1e-12)
         assert abs(a_e) < 1e-10
@@ -177,9 +176,16 @@ class TestMotionAccelerations:
         a_e = None
         for k in range(1, 2000):
             rate_dps = math.degrees(2.0 * k * params.dt)
-            a_c, a_e, rf = motion_accelerations(rate_dps, state, params)
+            a_c, a_e, _, _, _, rf, _ = motion_terms(rate_dps, 0, state, params)
             state = CorrectionState(prev_rate_filtered=rf, initialized=True)
         assert a_e == pytest.approx(0.27, rel=1e-6)
+
+
+def corrected_tilt(*args):
+    """The tilt of :func:`tilt_or_previous` where it is defined."""
+    phi, degenerate = tilt_or_previous(*args, 7.0)
+    assert not degenerate
+    return phi
 
 
 class TestCorrectedTilt:
@@ -197,8 +203,9 @@ class TestCorrectedTilt:
         assert out == pytest.approx(4.05453, abs=1e-5)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateTiltError):
-            corrected_tilt(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        # both arguments zero: the previous tilt, flagged
+        assert tilt_or_previous(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 12.5) == (12.5, True)
+        assert tilt_or_previous(1.0, 2.0, -1.0, -2.0, 0.0, 0.0, 12.5) == (12.5, True)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ import pytest
 from conftest import simulate_rig
 from oracles import (rowwise_estimate_csv, rowwise_spectrum_csv, rowwise_write_log,
                      rowwise_write_truth)
-from tiltkit.errors import OrderingError, ParseError
+from tiltkit.errors import OrderingError, ParameterError, ParseError
 from tiltkit.logio import (BLOCK_ROWS, RawLog, RawSample, TruthLog, parse_log, read_columns,
                            write_columns, write_log, write_truth)
 
@@ -106,6 +106,13 @@ def test_from_samples_roundtrip():
     log = RawLog.from_samples(samples)
     assert len(log) == 2
     assert log[1] == samples[1]
+
+
+@pytest.mark.parametrize("n_ref", [1, 4])
+def test_ref_count_of_another_length_rejected(n_ref):
+    with pytest.raises(ParameterError, match=f"ref_count has length {n_ref}, expected 3"):
+        RawLog(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3, dtype=int),
+               ref_count=np.zeros(n_ref, dtype=int))
 
 
 def test_slicing():
@@ -239,6 +246,19 @@ def test_spectrum_rows_match_rowwise_writer(tmp_path, n):
     write_columns(tmp_path / "new.csv", ["frequency_hz", "magnitude"], [freqs, mags])
     rowwise_spectrum_csv(tmp_path / "old.csv", freqs, mags)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([np.arange(3.0), np.arange(2.0)], "column b has 2 rows, a has 3"),
+    ([np.arange(2.0), np.arange(3.0)], "column b has 3 rows, a has 2"),
+    ([np.arange(2.0), (np.arange(2.0), np.zeros(3, dtype=bool))], "column b has 3 rows"),
+    ([np.arange(2.0), None, np.arange(1.0)], "column c has 1 rows, a has 2"),
+], ids=["shorter", "longer", "blank_flags", "after_none"])
+def test_write_columns_refuses_unequal_lengths(tmp_path, columns, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ParameterError, match=message):
+        write_columns(path, ["a", "b", "c"][:len(columns)], columns)
+    assert not path.exists()
 
 
 def test_write_truth_memory_stays_bounded(tmp_path):

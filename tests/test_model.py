@@ -13,143 +13,61 @@ from tiltkit.model import (
     AccelErrorModel,
     GyroErrorModel,
     MotionProfile,
-    RobotState,
     default_dynamic_profile,
     simulate_run,
-    step_kinematics,
-    synthesize_accel,
-    synthesize_gyro,
+    true_accel_components,
     zero_motion_profile,
 )
 
 G = ref.GRAVITY
 
 
-class TestStepKinematics:
-    def test_zero_fixed_point(self):
-        out = step_kinematics(RobotState(), 0.01)
-        assert out == RobotState()
-
-    def test_constant_rate(self):
-        out = step_kinematics(RobotState(phi_dot=10.0), 0.01)
-        assert out.phi == pytest.approx(0.1, abs=1e-15)
-        assert out.phi_dot == 10.0
-
-    def test_constant_acceleration(self):
-        out = step_kinematics(RobotState(phi_ddot=100.0), 0.1)
-        assert out.phi == pytest.approx(0.5, abs=1e-15)
-        assert out.phi_dot == pytest.approx(10.0, abs=1e-15)
-        assert out.phi_ddot == 100.0
-
-    def test_translational_analogue(self):
-        out = step_kinematics(RobotState(v_t=2.0, a_t=1.0), 0.1)
-        assert out.x_pos == pytest.approx(2.0 * 0.1 + 0.5 * 1.0 * 0.01)
-        assert out.v_t == pytest.approx(2.1)
-
-    def test_non_finite_state_rejected(self):
-        with pytest.raises(ParameterError):
-            step_kinematics(RobotState(phi=float("nan")), 0.01)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ParameterError):
-            step_kinematics(RobotState(), 0.0)
-
-
-class TestSynthesizeGyro:
-    def test_identity_with_no_interference(self):
-        rng = np.random.default_rng(0)
-        assert synthesize_gyro(5.0, GyroErrorModel(), rng) == 5.0
-
-    def test_reference_bias(self):
-        rng = np.random.default_rng(0)
-        model = GyroErrorModel(bias=ref.GYRO_BIAS_DPS)
-        assert synthesize_gyro(0.0, model, rng) == pytest.approx(-1.91195, abs=1e-15)
-
-    def test_saturation_clamp(self):
-        rng = np.random.default_rng(0)
-        model = GyroErrorModel(saturation=250.0)
-        assert synthesize_gyro(300.0, model, rng) == 250.0
-        assert synthesize_gyro(-300.0, model, rng) == -250.0
-
-    def test_batch_matches_stats(self):
-        model = GyroErrorModel(bias=-1.91195, noise_std=0.17)
-        vals = synthesize_gyro(0.0, model, np.random.default_rng(3), size=100_000)
-        assert abs(vals.mean() + 1.91195) < 3 * 0.17 / math.sqrt(100_000)
-
-    def test_invalid_model(self):
+class TestErrorModels:
+    def test_invalid_gyro_model(self):
         with pytest.raises(ParameterError):
             GyroErrorModel(noise_std=-1.0)
         with pytest.raises(ParameterError):
             GyroErrorModel(saturation=0.0)
 
-
-    @pytest.mark.parametrize("kwargs", [{"bias": float("nan")}, {"bias": float("-inf")},
-                                        {"noise_std": float("nan")}],
-                             ids=["bias_nan", "bias_-inf", "noise_std_nan"])
-    def test_non_finite_model_rejected(self, kwargs):
-        with pytest.raises(ParameterError, match=next(iter(kwargs))):
-            GyroErrorModel(**kwargs)
-
-    def test_infinite_noise_rejected(self):
-        with pytest.raises(ParameterError, match="noise_std"):
-            GyroErrorModel(noise_std=float("inf"))
-
-
-class TestSynthesizeAccel:
-    def test_vertical_stationary(self):
-        params = rig_params(with_errors=False)
-        ax, ay = synthesize_accel(RobotState(), AccelErrorModel(),
-                                  params, np.random.default_rng(0))
-        assert ax == pytest.approx(0.0, abs=1e-15)
-        assert ay == pytest.approx(G, abs=1e-12)
-
-    def test_horizontal_stationary(self):
-        params = rig_params(with_errors=False)
-        ax, ay = synthesize_accel(RobotState(phi=90.0), AccelErrorModel(),
-                                  params, np.random.default_rng(0))
-        assert ax == pytest.approx(G, abs=1e-12)
-        assert ay == pytest.approx(0.0, abs=1e-12)
-
-    def test_reference_biases(self):
-        params = rig_params(with_errors=False)
-        model = AccelErrorModel(bias_x=-0.02340, bias_y=-0.63629)
-        ax, ay = synthesize_accel(RobotState(), model, params, np.random.default_rng(0))
-        assert ax == pytest.approx(-0.02340, abs=1e-15)
-        assert ay == pytest.approx(G - 0.63629, abs=1e-12)
-
-    def test_centrifugal_term_direction(self):
-        # spinning upright robot senses less y acceleration
-        params = rig_params(with_errors=False)
-        ax, ay = synthesize_accel(RobotState(phi_dot=57.29577951308232),  # 1 rad/s
-                                  AccelErrorModel(), params, np.random.default_rng(0))
-        assert ay == pytest.approx(G - params.R, rel=1e-9)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"bias_x": float("nan")}, "finite"),
-        ({"bias_y": float("inf")}, "finite"),
-        ({"scale_poly_x": (0.0, 0.0, float("nan"), 0.0, 0.0)}, "finite"),
-        ({"scale_poly_y": (float("-inf"),) + (0.0,) * 4}, "finite"),
-        ({"noise_std": float("nan")}, "noise_std"),
-    ], ids=["bias_x", "bias_y", "scale_poly_x", "scale_poly_y", "noise_std"])
-    def test_non_finite_model_rejected(self, kwargs, message):
+    @pytest.mark.parametrize("model, kwargs, message", [
+        (GyroErrorModel, {"bias": float("nan")}, "bias"),
+        (GyroErrorModel, {"bias": float("-inf")}, "bias"),
+        (GyroErrorModel, {"noise_std": float("nan")}, "noise_std"),
+        (AccelErrorModel, {"bias_x": float("nan")}, "finite"),
+        (AccelErrorModel, {"bias_y": float("inf")}, "finite"),
+        (AccelErrorModel, {"scale_poly_x": (0.0, 0.0, float("nan"), 0.0, 0.0)}, "finite"),
+        (AccelErrorModel, {"scale_poly_y": (float("-inf"),) + (0.0,) * 4}, "finite"),
+        (AccelErrorModel, {"noise_std": float("nan")}, "noise_std"),
+    ], ids=["gyro_bias_nan", "gyro_bias_-inf", "gyro_noise_std_nan", "accel_bias_x",
+            "accel_bias_y", "accel_scale_poly_x", "accel_scale_poly_y", "accel_noise_std"])
+    def test_non_finite_model_rejected(self, model, kwargs, message):
         with pytest.raises(ParameterError, match=message):
-            AccelErrorModel(**kwargs)
+            model(**kwargs)
 
-    def test_infinite_noise_rejected(self):
+    @pytest.mark.parametrize("model", [GyroErrorModel, AccelErrorModel], ids=["gyro", "accel"])
+    def test_infinite_noise_rejected(self, model):
         with pytest.raises(ParameterError, match="noise_std"):
-            AccelErrorModel(noise_std=float("inf"))
+            model(noise_std=float("inf"))
 
 
 class TestSimulateRun:
     def test_zero_motion_zero_error(self):
+        # standing vertical, standing horizontal, and vertical with the
+        # reference accelerometer biases: the channels read gravity plus bias
         params = rig_params(with_errors=False)
-        truth, log = simulate_run(zero_motion_profile(2.0, 0.01),
-                                  GyroErrorModel(), AccelErrorModel(), params, 0)
-        assert len(truth) == len(log) == 200
-        assert np.all(log.gyro_dps == 0.0)
-        assert np.all(log.acc_x_mps2 == 0.0)
-        assert np.allclose(log.acc_y_mps2, G, atol=1e-12)
-        assert np.all(log.enc_count == 0)
+        biased = AccelErrorModel(bias_x=-0.02340, bias_y=-0.63629)
+        for phi0, accel, ax, ay in ((0.0, AccelErrorModel(), 0.0, G),
+                                    (90.0, AccelErrorModel(), G, 0.0),
+                                    (0.0, biased, -0.02340, G - 0.63629)):
+            truth, log = simulate_run(MotionProfile(2.0, 0.01, phi0=phi0),
+                                      GyroErrorModel(), accel, params, 0)
+            assert len(truth) == len(log) == 200
+            assert np.all(log.gyro_dps == 0.0)
+            assert np.all(log.acc_x_mps2 == ax)
+            assert np.allclose(log.acc_y_mps2, ay, rtol=0.0, atol=1e-12)
+            assert np.all(log.enc_count == 0)
+        # an upright robot spinning at 1 rad/s senses less y' acceleration
+        assert true_accel_components(0.0, 0.0, params.R, 0.0, 0.0) == (0.0, G - params.R)
 
     def test_determinism(self):
         a = simulate_rig(duration=3.0, gyro_noise=0.2, accel_noise=0.1, seed=11)
@@ -175,15 +93,24 @@ class TestSimulateRun:
         assert abs(log.gyro_dps.mean() - (-1.91195)) < bound
 
     def test_encoder_quantization_consistency(self):
-        # cumulative counts track cumulative wheel travel within one pulse
+        # cumulative counts track cumulative wheel travel within one pulse,
+        # swaying or under constant accelerations, where the forward-Euler
+        # truth is the closed form p = p_ddot*t^2/2, p_dot = p_ddot*t
         params = rig_params(with_errors=False, N_drive=512)
-        profile = default_dynamic_profile(10.0, 0.01, a_t_amp=0.3, a_t_freq_hz=0.4)
-        truth, log = simulate_run(profile, GyroErrorModel(), AccelErrorModel(),
-                                  params, 0)
-        pulse_distance = 2 * math.pi * params.R_w / params.N_drive
-        travel = truth.x_m - truth.x_m[0]
-        reconstructed = np.cumsum(log.enc_count) * pulse_distance
-        assert np.max(np.abs(reconstructed - travel)) <= pulse_distance
+        constant = MotionProfile(10.0, 0.01, phi_ddot_fn=lambda t: 2.0, a_t_fn=lambda t: 0.3)
+        for profile in (default_dynamic_profile(10.0, 0.01, a_t_amp=0.3, a_t_freq_hz=0.4),
+                        constant):
+            truth, log = simulate_run(profile, GyroErrorModel(), AccelErrorModel(),
+                                      params, 0)
+            pulse_distance = 2 * math.pi * params.R_w / params.N_drive
+            travel = truth.x_m - truth.x_m[0]
+            reconstructed = np.cumsum(log.enc_count) * pulse_distance
+            assert np.max(np.abs(reconstructed - travel)) <= pulse_distance
+        t = truth.t
+        for p, p_dot, p_ddot in ((truth.phi_deg, truth.phi_dot_dps, 2.0),
+                                 (truth.x_m, truth.v_mps, 0.3)):
+            assert np.allclose(p, 0.5 * p_ddot * t * t, rtol=1e-9, atol=0.0)
+            assert np.allclose(p_dot, p_ddot * t, rtol=1e-9, atol=0.0)
 
     def test_roundtrip_exact_zero_error(self, dynamic_run_clean):
         # noise-free synthesis then correction recovers the tilt everywhere
