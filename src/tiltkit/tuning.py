@@ -6,10 +6,11 @@ from seeded perturbations.  Objectives return ``inf`` outside their
 feasible region (non-contractive low-pass constants, unstable filter
 gains), which the simplex handles by reflecting away.
 
-``scipy.optimize`` is imported inside :func:`nelder_mead`, on the first
-search: it takes about 0.6 s and 40 MB to load, which the commands that
-never optimise (all but ``tune``) would pay.  The scale-factor fit is
-linear least squares and needs no search.
+The simplex pass repeats scipy's Nelder-Mead (without bounds or adaptive
+coefficients) step for step, so the package needs numpy alone.  It takes
+no evaluation cap (scipy's ``maxfev``): an iteration makes at most N+2
+evaluations, so ``max_iterations`` already bounds a pass's cost.
+The scale-factor fit is linear least squares and needs no search.
 
 Each tuner takes columns, never per-sample objects: a channel array, an
 (n, 2) array of (p, a_ref) rows, a RawLog or a (phi_bar, rate_bar) pair.
@@ -65,8 +66,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.tol_f > 0 or not self.tol_x > 0:
             raise ParameterError("tolerances must be positive")
-        if not self.initial_scale > 0:
-            raise ParameterError("initial_scale must be positive")
+        if not 0 < self.initial_scale < float("inf"):
+            raise ParameterError(
+                f"initial_scale must be positive and finite, got {self.initial_scale!r}")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ParameterError("max_iterations and restarts must be >= 1")
         if not self.seed >= 0:
@@ -93,16 +95,59 @@ def _initial_simplex(x0, scale):
     return sim
 
 
+def _simplex_pass(objective, sim, f0, max_iterations, xatol, fatol):
+    """One Nelder-Mead pass over the (N+1, N) simplex ``sim``, whose vertex 0
+    has the value ``f0``; returns (x, fun, iterations, converged).
+
+    Reflection 1, expansion 2, contraction and shrink 0.5, with scipy's
+    expressions, comparisons and sorts, so the result is scipy's bit for bit.
+    """
+    n = sim.shape[1]
+    fsim = np.array([f0] + [objective(v) for v in sim[1:]], dtype=float)
+    ind = np.argsort(fsim)  # scipy sorts the first simplex twice
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if iterations >= max_iterations or (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = objective(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = objective(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = objective(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = objective(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = objective(sim[j])
+        iterations += 1
+    return sim[0], np.min(fsim), iterations, iterations < max_iterations
+
+
 def nelder_mead(objective, x0, cfg: Optional[OptimizerConfig] = None):
     """Minimise ``objective`` from ``x0`` with restarts; returns OptResult.
 
     Raises :class:`OptimizationFailure` when no trial start produces a
     finite objective value.
     """
-    # Imported here, not at module level: scipy.optimize costs about 0.6 s
-    # and 40 MB at start-up, which commands that never optimise would pay.
-    from scipy.optimize import minimize
-
     if cfg is None:
         cfg = OptimizerConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -114,22 +159,13 @@ def nelder_mead(objective, x0, cfg: Optional[OptimizerConfig] = None):
     for _ in range(cfg.restarts):
         f0 = objective(start)
         if isfinite(f0):
-            def fun(x):  # vertex 0 of the initial simplex is the probed start
-                return f0 if np.array_equal(x, start) else objective(x)
-
-            res = minimize(fun, start, method="Nelder-Mead", options={
-                "initial_simplex": _initial_simplex(start, cfg.initial_scale),
-                "maxiter": cfg.max_iterations,
-                "maxfev": 10 * cfg.max_iterations * max(1, len(start)),
-                "xatol": cfg.tol_x,
-                "fatol": cfg.tol_f,
-                "adaptive": False,
-            })
-            iterations += res.nit
-            if best is None or res.fun < best.fun:
-                best = OptResult(x=np.asarray(res.x, dtype=float), fun=float(res.fun),
-                                 iterations=iterations, converged=bool(res.success),
-                                 passes=0)
+            x, fun, nit, converged = _simplex_pass(
+                objective, _initial_simplex(start, cfg.initial_scale), f0,
+                cfg.max_iterations, cfg.tol_x, cfg.tol_f)
+            iterations += nit
+            if best is None or fun < best.fun:
+                best = OptResult(x=x, fun=float(fun), iterations=iterations,
+                                 converged=converged, passes=0)
         anchor = x0 if best is None else best.x
         steps = np.array([cfg.initial_scale * (abs(v) if v != 0.0 else 0.01)
                           for v in anchor])

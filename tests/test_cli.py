@@ -210,14 +210,18 @@ class TestCommands:
         assert "phi_bar[1] is nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
-    @pytest.mark.parametrize("variant", ["lowpass", "wb"])
-    def test_tune_non_finite_gyro_bias_exit_4(self, tmp_path, capsys, variant):
-        n = 50
+    @staticmethod
+    def write_resting_training_log(tmp_path, n=50):
         log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
                      acc_y_mps2=np.full(n, ref.GRAVITY), enc_count=np.zeros(n, dtype=int),
                      ref_count=np.zeros(n, dtype=int))
         path = tmp_path / "train.csv"
         write_log(path, log)
+        return path
+
+    @pytest.mark.parametrize("variant", ["lowpass", "wb"])
+    def test_tune_non_finite_gyro_bias_exit_4(self, tmp_path, capsys, variant):
+        path = self.write_resting_training_log(tmp_path)
         cfg_path, _ = write_config(tmp_path, gyro_bias_dps=float("nan"))
         capsys.readouterr()
         assert main(["tune", "--config", str(cfg_path), "--log", str(path),
@@ -225,6 +229,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert ("gyro_bias must be finite, got nan" if variant == "lowpass"
                 else "phi_bar[1] is nan") in err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("variant", ["lowpass", "wb"])
+    def test_tune_infinite_initial_scale_exit_4(self, tmp_path, capsys, variant):
+        # an infinite first step leaves the search at its seed
+        path = self.write_resting_training_log(tmp_path)
+        cfg_path, _ = write_config(tmp_path, opt_initial_scale=float("inf"))
+        capsys.readouterr()
+        assert main(["tune", "--config", str(cfg_path), "--log", str(path),
+                     "--out", str(tmp_path / "tuned"), "--variant", variant]) == EXIT_CONTRACT
+        assert "initial_scale must be positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("key", ["R_m", "T_v_s", "poly_x_1"])

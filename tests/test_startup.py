@@ -1,10 +1,9 @@
-"""Commands that never optimise must not load scipy.optimize.
+"""No command loads scipy: tiltkit needs numpy alone at run time.
 
-``scipy.optimize`` (with ``scipy.linalg`` behind it) is imported inside
-``tuning.nelder_mead``, so ``simulate``, ``run``, ``eval``, ``spectrum`` and
-``calibrate``, static and deflection (a least-squares fit), start without
-it; only ``tune`` loads it.  The check runs in a fresh interpreter,
-because the test process itself has long since imported both.
+The simplex search is tiltkit's own (``tuning._simplex_pass``), so every
+command, ``tune`` included, runs without any ``scipy`` module.  The check
+runs in a fresh interpreter, because the test process itself imports
+scipy for its oracles.
 """
 
 import json
@@ -21,6 +20,11 @@ import numpy as np
 from tiltkit.cli import main
 from tiltkit.logio import parse_log, read_columns, write_log
 from tiltkit.reference import REF_ENCODER_PULSES_PER_REV as N_REF
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 
 tmp = sys.argv[1]
 cfg = os.path.join(tmp, "run.cfg")
@@ -46,23 +50,26 @@ train = os.path.join(tmp, "train.csv")
 write_log(train, raw)
 codes.append(main(["calibrate", "--config", cfg, "--out", os.path.join(tmp, "deflection"),
                    "--log", train]))
-before = {name: name in sys.modules for name in ("scipy.optimize", "scipy.linalg")}
-
-codes.append(main(["tune", "--config", cfg, "--out", os.path.join(tmp, "tuned"),
+codes.append(main(["tune", "--config", cfg, "--out", os.path.join(tmp, "tuned_lowpass"),
                    "--log", train, "--variant", "lowpass"]))
-after = "scipy.optimize" in sys.modules
-print(json.dumps({"codes": codes, "before": before, "after": after}))
+codes.append(main(["tune", "--config", cfg, "--out", os.path.join(tmp, "tuned_wb"),
+                   "--log", train]))
+after = scipy_modules()
+
+# control: the same check sees scipy once something does load it
+import scipy.optimize
+control = scipy_modules()
+print(json.dumps({"codes": codes, "after": after, "control": control}))
 """
 
 
-def test_non_tuning_commands_leave_scipy_optimize_unloaded(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0] * 7
-    assert report["before"] == {"scipy.optimize": False, "scipy.linalg": False}
-    # positive control: the tuner does load it
-    assert report["after"] is True
+    assert report["codes"] == [0] * 8
+    assert report["after"] == []
+    assert "scipy.optimize" in report["control"]

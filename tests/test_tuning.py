@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rig_params, simulate_rig
 from tiltkit import reference as ref
@@ -55,10 +57,8 @@ class TestNelderMead:
         assert a.fun == b.fun
 
     def test_start_evaluated_once_per_pass(self):
-        # vertex 0 of scipy's initial simplex is the start already probed:
-        # its value is reused, and the search itself is scipy's
-        from scipy.optimize import minimize
-
+        # vertex 0 of the initial simplex is the start already probed: its
+        # value is reused, and the search is scipy's evaluation for evaluation
         def quad(x):
             return (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2
 
@@ -74,10 +74,7 @@ class TestNelderMead:
         calls = []
         cfg = OptimizerConfig(restarts=1)
         res = nelder_mead(recording, [0.5, 0.5], cfg)
-        start = np.array([0.5, 0.5])
-        direct = minimize(quad, start, method="Nelder-Mead", options={
-            "initial_simplex": tuning._initial_simplex(start, cfg.initial_scale),
-            "xatol": cfg.tol_x, "fatol": cfg.tol_f})
+        direct = _scipy_pass(quad, np.array([0.5, 0.5]), cfg)
         assert len(calls) == direct.nfev
         assert res.x.tolist() == direct.x.tolist() and res.fun == direct.fun
 
@@ -90,6 +87,133 @@ class TestNelderMead:
             OptimizerConfig(tol_f=0.0)
         with pytest.raises(ParameterError):
             OptimizerConfig(restarts=0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+    def test_initial_scale_positive_and_finite(self, scale):
+        with pytest.raises(ParameterError, match="initial_scale"):
+            OptimizerConfig(initial_scale=scale)
+
+
+def _scipy_pass(fn, start, cfg):
+    """scipy's Nelder-Mead, with the options nelder_mead gave it when it
+    called scipy: the reference _simplex_pass is held to."""
+    from scipy.optimize import minimize
+
+    return minimize(fn, start, method="Nelder-Mead", options={
+        "initial_simplex": tuning._initial_simplex(start, cfg.initial_scale),
+        "maxiter": cfg.max_iterations,
+        "maxfev": 10 * cfg.max_iterations * max(1, len(start)),
+        "xatol": cfg.tol_x,
+        "fatol": cfg.tol_f,
+        "adaptive": False,
+    })
+
+
+def assert_pass_matches_scipy(fn, start, cfg=OptimizerConfig()):
+    """Run _simplex_pass and scipy from one start; both must agree bit for
+    bit, and the pass must stay within the evaluations its iterations allow.
+    Returns (calls, iterations) of the pass."""
+    start = np.asarray(start, dtype=float)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    x, fun, nit, converged = tuning._simplex_pass(
+        counted, tuning._initial_simplex(start, cfg.initial_scale), fn(start),
+        cfg.max_iterations, cfg.tol_x, cfg.tol_f)
+    ref = _scipy_pass(fn, start, cfg)
+    assert x.tobytes() == ref.x.tobytes()
+    assert float(fun) == float(ref.fun)
+    assert (nit, converged) == (ref.nit, ref.success)
+    assert len(calls) + 1 == ref.nfev  # scipy also evaluates vertex 0
+    n = len(start)
+    assert nit <= cfg.max_iterations
+    assert len(calls) <= n + 1 + (cfg.max_iterations - 1) * (n + 2)
+    return len(calls), nit
+
+
+def _quadratic(center, weights):
+    center = np.asarray(center, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+
+    def f(x):
+        return float(np.sum(weights * (x - center) ** 2))
+    return f
+
+
+def _rosenbrock(v):
+    return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
+
+
+class TestSimplexPassMatchesScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_quadratic(self, n):
+        f = _quadratic(np.linspace(-1.0, 2.0, n), np.arange(1.0, n + 1))
+        assert_pass_matches_scipy(f, np.linspace(0.5, -0.3, n) * (np.arange(n) != 1))
+
+    @pytest.mark.parametrize("start", [[-1.2, 1.0], [-1.2, 1.0, -0.5, 0.8]])
+    def test_rosenbrock(self, start):
+        assert_pass_matches_scipy(_rosenbrock, start, OptimizerConfig(max_iterations=5000))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_constant_objective_shrinks_to_tolerance(self, n):
+        # every reflection and contraction ties, so every iteration shrinks
+        calls, nit = assert_pass_matches_scipy(lambda x: 5.0, np.full(n, 1.5))
+        assert calls == n + (nit - 1) * (n + 2)
+
+    def test_infinite_region(self):
+        # the tuners' objectives return inf for infeasible candidates
+        def walled(x):
+            return float("inf") if x[0] < 0.2 else (x[0] - 0.1) ** 2 + (x[1] - 1.0) ** 2
+        assert_pass_matches_scipy(walled, [0.3, 0.3])
+        assert_pass_matches_scipy(walled, [1.0, 0.0], OptimizerConfig(initial_scale=3.0))
+
+    def test_tied_vertices(self):
+        # the start's two neighbours tie, and the plateaus tie everywhere
+        assert_pass_matches_scipy(_quadratic([0.0, 0.0], [1.0, 1.0]), [1.0, 1.0])
+        assert_pass_matches_scipy(lambda x: float(np.sum(np.floor(2.0 * np.abs(x)))),
+                                  [1.3, -0.7, 2.1])
+
+    def test_expansion_ties_reflection(self):
+        # from (1, 2) the second expansion, to -5, lands on the floor at -3
+        # with its reflection: the reflection is kept
+        assert_pass_matches_scipy(lambda x: max(float(x[0]), -3.0), [1.0])
+
+    @pytest.mark.parametrize("tol_x, tol_f", [(1.5 * 2.0 ** -10, 1.0),
+                                              (1.0, 1.5 * 2.0 ** -10)])
+    def test_stop_test_is_inclusive(self, tol_x, tol_f):
+        # each inside contraction halves both spreads exactly (1.5, 0.75,
+        # ...), so one of them reaches its tolerance with equality
+        cfg = OptimizerConfig(tol_x=tol_x, tol_f=tol_f)
+        _, nit = assert_pass_matches_scipy(lambda x: abs(float(x[0]) - 1.5), [1.5], cfg)
+        assert nit == 11
+
+    def test_forced_shrinks(self):
+        # a ring of minima: contractions across it fail
+        def ring(x):
+            return float((x[0] ** 2 + x[1] ** 2 - 1.0) ** 2)
+        calls, nit = assert_pass_matches_scipy(ring, [1.0, 0.9])
+        # other iterations make at most 2 calls, a shrink makes 4
+        assert calls > 2 + 2 * (nit - 1)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2])
+    def test_tiny_budget(self, max_iterations):
+        cfg = OptimizerConfig(max_iterations=max_iterations)
+        _, nit = assert_pass_matches_scipy(_rosenbrock, [-1.2, 1.0], cfg)
+        assert nit == max_iterations
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_random_quadratics(self, data, n):
+        coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        vec = st.lists(coords, min_size=n, max_size=n)
+        center, start = data.draw(vec), data.draw(vec)
+        weights = data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+        cfg = OptimizerConfig(max_iterations=data.draw(st.integers(1, 300)),
+                              initial_scale=data.draw(st.floats(0.01, 5.0)))
+        assert_pass_matches_scipy(_quadratic(center, weights), start, cfg)
 
 
 class TestEstimateStaticBias:
