@@ -22,13 +22,16 @@ with variant-specific A, B, C, K.  Fixed-gain variants:
 gain each step from the covariance recursion (identical algorithms, the
 tags record whether the covariances came from noise analysis or from
 optimisation).  The gain sequence depends only on (q1, q2, r, P0, dt) and
-never on the data, so one scalar recursion produces it for both the filter
-loop and the steady-state search.  P0 is part of the spec: it comes from
-:func:`kalman_init_P` when the spec carries ``alpha0``/``beta0`` (the
-first gain then equals them), else it is the identity, and no function
-takes another.  :func:`kalman_step` is the matrix-form
-reference of one cycle: covariance prediction uses A P A^T + Q and P is
-re-symmetrised after every update to suppress floating-point drift.
+never on the data.  The scalar covariance recursion is written twice: in
+the generator :func:`_kalman_gains`, which the steady-state search draws
+from, and inline in the filter loop, where drawing from the generator cost
+a Python call per sample; the tests hold the loop to the generator bit for
+bit.  P0 is part of the spec: it comes from :func:`kalman_init_P` when the
+spec carries ``alpha0``/``beta0`` (the first gain then equals them), else
+it is the identity, and no function takes another.  :func:`kalman_step` is
+the matrix-form reference of one cycle: covariance prediction uses
+A P A^T + Q and P is re-symmetrised after every update to suppress
+floating-point drift.
 
 ``PARAMS`` names each variant's parameters in the order the tuner searches
 them; every other per-variant parameter list is derived from it.  Specs
@@ -56,6 +59,26 @@ the state padded to three components: ``wb`` takes G = [B - KCB | K] on
 (phi_bar(k), rate_bar(k)).  The padding adds exact zeros: an exact -0.0
 estimate may read +0.0, and after a diverging filter overflows, a padded
 zero times inf gives NaN where the estimate could have stayed +-inf.
+:func:`_fixed_gain_form` makes these per-variant choices for both paths.
+
+The same filters are linear and time-invariant, so
+:func:`convolution_filter` computes the loop's estimates as a convolution,
+
+    estimate(k) = (M^k x0)[0] + sum_{j=1..k} (M^(k-j) G)[0] [a(j), b(j)]^T:
+
+the rows e1^T M^m by doubling (about log2(n) small matmuls; powers, not an
+eigendecomposition, because M can be defective, as for ``wb`` with
+alpha = beta = 0), then one rfft of the impulse response against the input
+pair's rffts, taken once per stream.  The tuner scores its fixed-gain
+candidates this way (Oppenheim & Schafer, *Discrete-Time Signal
+Processing*, fast convolution with the DFT); ``run`` and every reported MSE
+stay on the loop.  The sums are reassociated, so the result is not the
+loop's bit for bit.  On specs :func:`check_stability` does not call
+unstable the tests hold the difference to 1e-11 times the stream's largest
+magnitude; over 1,738 random stable specs and streams of up to 3,000
+samples it was at most 1.3e-14 times that.  On an unstable spec the powers
+grow and so does the error, which is why the tuner only convolves
+candidates that pass that check.
 
 Specs are immutable and shareable; filter/Kalman states are single-owner
 sequential values, so many (spec, log) pairs can be evaluated in parallel.
@@ -456,30 +479,21 @@ def run_filter_arrays(spec, phi_bar, rate_bar):
     :func:`_default_x0`), so the first estimate is ``phi_bar[0]``.
 
     Every fixed-gain variant runs through one shared loop over plain
-    floats (see the module notes; tuning evaluates this hot), the kalman
-    variants through the scalar gain recursion; both are algebraically
-    identical to iterating :func:`filter_step` / :func:`kalman_step`.
+    floats (see the module notes), the kalman variants through a loop with
+    the covariance recursion written in; both are algebraically identical
+    to iterating :func:`filter_step` / :func:`kalman_step`.
     """
     phi, rate = checked_arrays(phi_bar, rate_bar)
-    x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
+    if spec.variant in KALMAN_VARIANTS:
+        return _run_kalman(spec, phi, rate)
 
+    M, G, (a, b), x0 = _fixed_gain_form(spec, phi, rate)
     out = np.empty(len(phi))
     out[0] = x0[0]
-
-    if spec.variant in KALMAN_VARIANTS:
-        return _run_kalman(spec, phi, rate, x0, out)
-
-    # Each variant's input pair keeps the term order of its own equations.
-    K = spec.K
-    G, a, b = K, phi[1:], rate[1:]
-    if spec.variant == WB:
-        G, a, b = np.hstack([spec.B - K @ spec.C @ spec.B, K]), rate[:-1], phi[1:]
-    elif spec.variant == COMPLEMENTARY:
-        G = spec.B
     n = spec.n_states
-    M, G3, x = np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3)
-    M[:n, :n], G3[:n], x[:n] = spec.A - K @ spec.C @ spec.A, G, x0
-    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = M.tolist()
+    M3, G3, x = np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3)
+    M3[:n, :n], G3[:n], x[:n] = M, G, x0
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = M3.tolist()
     (g11, g12), (g21, g22), (g31, g32) = G3.tolist()
     x1, x2, x3 = x.tolist()
     est = memoryview(out)
@@ -489,6 +503,68 @@ def run_filter_arrays(spec, phi_bar, rate_bar):
                       m31 * x1 + m32 * x2 + m33 * x3 + g31 * ak + g32 * bk)
         est[k] = x1
     return out
+
+
+def convolution_filter(variant, phi_bar, rate_bar):
+    """Return ``estimates(spec)``: :func:`run_filter_arrays`'s estimates of
+    a fixed-gain ``variant`` spec over this stream, by FFT convolution.
+
+    The stream is refused as :func:`checked_arrays` refuses it, and the
+    rffts of its input pair are taken here, once.  Each call then costs
+    about log2(n) small matmuls, one rfft and one irfft.  The result equals
+    the loop's to rounding, not bit for bit (see the module notes), and
+    only for specs that :func:`check_stability` does not call unstable.
+    """
+    variant = canonical_variant(variant)
+    if variant in KALMAN_VARIANTS:
+        raise FilterConfigError(f"{variant} has no fixed gain to convolve with")
+    phi, rate = checked_arrays(phi_bar, rate_bar)
+    n = len(phi)
+    nfft = 1 << max(2 * n - 4, 0).bit_length()  # >= 2n - 3: no wrap-around
+    spectra = np.fft.rfft(_input_pair(variant, phi, rate), nfft)
+
+    def estimates(spec):
+        if spec.variant != variant:
+            raise FilterConfigError(f"this stream was prepared for {variant}, "
+                                    f"not {spec.variant}")
+        M, G, _, x0 = _fixed_gain_form(spec, phi, rate)
+        rows = np.zeros((n, len(M)))  # rows[m] = e1^T M^m, by doubling
+        rows[0, 0] = 1.0
+        done, power = 1, M
+        while done < n:
+            step = min(done, n - done)
+            rows[done:done + step] = rows[:step] @ power
+            done += step
+            if done < n:
+                power = power @ power
+        out = rows @ x0
+        response = np.fft.rfft(G.T @ rows[:-1].T, nfft)  # of the impulse response
+        out[1:] += np.fft.irfft(response[0] * spectra[0] + response[1] * spectra[1],
+                                nfft)[:n - 1]
+        return out
+
+    return estimates
+
+
+def _input_pair(variant, phi, rate):
+    """The input pair (a, b) of a fixed-gain variant's loop, one entry per
+    step k = 1..n-1, in the term order of the variant's own equations."""
+    if variant == WB:
+        return rate[:-1], phi[1:]
+    return phi[1:], rate[1:]
+
+
+def _fixed_gain_form(spec, phi, rate):
+    """The loop x(k) = M x(k-1) + G [a(k), b(k)] of a fixed-gain spec over a
+    checked stream: returns (M, G, (a, b), x0) with M = A - KCA.  ``wb``
+    takes G = [B - KCB | K], complementary G = B and the others G = K."""
+    K = spec.K
+    if spec.variant == WB:
+        G = np.hstack([spec.B - K @ spec.C @ spec.B, K])
+    else:
+        G = spec.B if spec.variant == COMPLEMENTARY else K
+    return (spec.A - K @ spec.C @ spec.A, G, _input_pair(spec.variant, phi, rate),
+            _default_x0(spec, float(phi[0]), float(rate[0])))
 
 
 def _default_x0(spec, phi0, rate0):
@@ -504,17 +580,33 @@ def _default_x0(spec, phi0, rate0):
     return np.array([phi0, 0.0])
 
 
-def _run_kalman(spec, phi_bar, rate_bar, x0, out):
+def _run_kalman(spec, phi, rate):
+    # _kalman_gains' recursion, written into the loop: the same operations
+    # in the same order, so the same bytes, without a generator per step
+    q1, q2, r = spec.params["q1"], spec.params["q2"], spec.params["r"]
     dt = spec.dt
-    x1, x2 = float(x0[0]), float(x0[1])
-    phi = np.asarray(phi_bar, dtype=float)
-    rate = np.asarray(rate_bar, dtype=float)
-    # data first, so that no gain is drawn past the last sample
-    samples = zip(range(1, len(phi)), phi[1:].tolist(), rate[:-1].tolist())
-    for (k, y, u), (k1, k2) in zip(samples, _kalman_gains(spec, _initial_P(spec))):
+    q1dt, two_dt, dt_dt = q1 * dt, 2.0 * dt, dt * dt
+    P0 = _initial_P(spec)
+    p11, p12, p22 = float(P0[0, 0]), float(P0[0, 1]), float(P0[1, 1])
+    x1, x2 = _default_x0(spec, float(phi[0]), float(rate[0])).tolist()
+    out = np.empty(len(phi))
+    out[0] = x1
+    est = memoryview(out)
+    for k, y, u in zip(count(1), phi[1:].tolist(), rate[:-1].tolist()):
+        a11 = p11 - two_dt * p12 + dt_dt * p22 + q1dt
+        a12 = p12 - dt * p22
+        a22 = p22 + q2
+        s = a11 + r
+        if s == 0.0:
+            raise FilterDesignError(f"singular innovation covariance at step {k}")
+        k1 = a11 / s
+        k2 = a12 / s
+        p11 = (1.0 - k1) * a11
+        p12 = a12 * r / s
+        p22 = a22 - k2 * a12
         x1p = x1 - dt * x2 + dt * u
         resid = y - x1p
         x1 = x1p + k1 * resid
         x2 = x2 + k2 * resid
-        out[k] = x1
+        est[k] = x1
     return out

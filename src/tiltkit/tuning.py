@@ -41,6 +41,7 @@ from .filters import (
     canonical_variant,
     check_stability,
     checked_arrays,
+    convolution_filter,
     make_filter,
     run_filter_arrays,
 )
@@ -64,8 +65,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol_f > 0 or not self.tol_x > 0:
-            raise ParameterError("tolerances must be positive")
+        for name, tol in (("tol_f", self.tol_f), ("tol_x", self.tol_x)):
+            if not 0 < tol < float("inf"):
+                raise ParameterError(f"{name} must be positive and finite, got {tol!r}")
         if not 0 < self.initial_scale < float("inf"):
             raise ParameterError(
                 f"initial_scale must be positive and finite, got {self.initial_scale!r}")
@@ -336,6 +338,15 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
     that keeps them nonnegative, optionally pinning the first gain to
     ``kalman_init_gains`` = (alpha0, beta0).
 
+    The search scores a fixed-gain candidate from
+    :func:`convolution_filter`, whose estimates equal the filter loop's to
+    rounding only, and a kalman candidate from :func:`run_filter_arrays`.
+    The reported ``training_mse`` and ``verification_mse`` both come from
+    :func:`run_filter_arrays` at the chosen point, so they are the MSEs
+    that ``run`` gives there.  A near-tie between candidates may resolve
+    differently than it would on the loop's MSEs, which can move the
+    chosen point but not what is reported for it.
+
     ``corrected`` is a (phi_bar, rate_bar) column pair.  ``verification``,
     when given, is a second (corrected, ref_phi) set evaluated once at the
     tuned parameters.  Both streams (:func:`checked_arrays`) and both
@@ -355,6 +366,11 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
 
     names = PARAMS[variant]
     is_kalman = variant in KALMAN_VARIANTS
+    if is_kalman:
+        def estimates(spec):
+            return run_filter_arrays(spec, phi_bar, rate_bar)
+    else:
+        estimates = convolution_filter(variant, phi_bar, rate_bar)
 
     def params_from_vector(vec):
         if is_kalman:
@@ -371,7 +387,7 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
             if not is_kalman:
                 if check_stability(spec).classification == "unstable":
                     return float("inf")
-            est = run_filter_arrays(spec, phi_bar, rate_bar)
+            est = estimates(spec)
         except (ParameterError, FilterConfigError, FilterDesignError):
             return float("inf")
         err = mse(ref, est)
@@ -398,8 +414,9 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
     params = params_from_vector(opt.x)
     spec = make_filter(variant, params, dt)
     report = None if is_kalman else check_stability(spec)
+    training_mse = mse(ref, run_filter_arrays(spec, phi_bar, rate_bar))
     result = TuningResult(variant=variant, dt=dt, parameters=params,
-                          training_mse=opt.fun, iterations=opt.iterations,
+                          training_mse=training_mse, iterations=opt.iterations,
                           converged=opt.converged, stability_report=report)
     if verification is not None:
         est = run_filter_arrays(spec, v_phi, v_rate)

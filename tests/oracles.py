@@ -3,9 +3,10 @@
 The two-phase functions write out each variant's predict/correct equations
 directly; the textbook Kalman filter is a plain matrix-form implementation;
 the unrolled fixed-gain loops keep one recurrence per variant, each with
-its own term order; the shadow simulator writes out its own kinematics and
-sensor models, generates one sample at a time and runs the streaming
-correction step on each; the row-wise CSV writers
+its own term order; the generator-driven Kalman loop draws each step's
+gain from ``_kalman_gains``; the shadow simulator writes out its own
+kinematics and sensor models, generates one sample at a time and runs the
+streaming correction step on each; the row-wise CSV writers
 format one row at a time, through ``csv.writer`` for the logs; the
 row-wise CSV readers parse one field at a time with ``float``/``int``
 into growable ``array.array`` columns.  All stay deliberately separate
@@ -147,6 +148,30 @@ def unrolled_run_filter(spec, phi_bar, rate_bar):
             m[1][0] * x1 + m[1][1] * x2 + m[1][2] * x3 + km[1][0] * y1 + km[1][1] * y2,
             m[2][0] * x1 + m[2][1] * x2 + m[2][2] * x3 + km[2][0] * y1 + km[2][1] * y2,
         )
+        out[k] = x1
+    return out
+
+
+def generator_run_kalman(spec, phi_bar, rate_bar):
+    """The kalman variants' run loop with each step's gain drawn from the
+    ``_kalman_gains`` generator.  ``run_filter_arrays``, which writes the
+    recursion into its loop, must give the same bytes."""
+    from tiltkit.filters import _default_x0, _initial_P, _kalman_gains
+
+    phi = np.asarray(phi_bar, dtype=float)
+    rate = np.asarray(rate_bar, dtype=float)
+    x0 = _default_x0(spec, float(phi[0]), float(rate[0]))
+    out = np.empty(len(phi))
+    out[0] = x0[0]
+    dt = spec.dt
+    x1, x2 = float(x0[0]), float(x0[1])
+    # data first, so that no gain is drawn past the last sample
+    samples = zip(range(1, len(phi)), phi[1:].tolist(), rate[:-1].tolist())
+    for (k, y, u), (k1, k2) in zip(samples, _kalman_gains(spec, _initial_P(spec))):
+        x1p = x1 - dt * x2 + dt * u
+        resid = y - x1p
+        x1 = x1p + k1 * resid
+        x2 = x2 + k2 * resid
         out[k] = x1
     return out
 

@@ -242,6 +242,17 @@ class TestCommands:
         assert "initial_scale must be positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
+    @pytest.mark.parametrize("key", ["opt_tol_f", "opt_tol_x"])
+    def test_tune_infinite_tolerance_exit_4(self, tmp_path, capsys, key):
+        # an infinite tolerance stopped each pass at its first simplex
+        path = self.write_resting_training_log(tmp_path)
+        cfg_path, _ = write_config(tmp_path, **{key: float("inf")})
+        capsys.readouterr()
+        assert main(["tune", "--config", str(cfg_path), "--log", str(path),
+                     "--out", str(tmp_path / "tuned"), "--variant", "wb"]) == EXIT_CONTRACT
+        assert f"{key[4:]} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
     @pytest.mark.parametrize("key", ["R_m", "T_v_s", "poly_x_1"])
     def test_run_non_finite_correction_parameter_exit_4(self, tmp_path, capsys, key):
         cfg_path, _ = write_config(tmp_path)

@@ -1,15 +1,20 @@
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from conftest import simulate_rig
+from test_readers import PROPERTY, _python_calls
 from tiltkit import filters as F
 from tiltkit import reference as ref
 from tiltkit.correction import run_correction_arrays
 from tiltkit.errors import FilterConfigError, FilterDesignError, ParameterError
 from oracles import (
+    generator_run_kalman,
     textbook_kalman,
     two_phase_abtg,
     two_phase_complementary,
@@ -531,6 +536,118 @@ class TestSharedLoopMatchesUnrolled:
         assert new[finite].tobytes() == old[finite].tobytes()
         differ = new.view(np.uint64) != old.view(np.uint64)
         assert np.all(np.isnan(new[differ])) and np.all(np.isinf(old[differ]))
+
+
+def kalman_outcome(spec, phi, rate):
+    """Estimate bytes of the fused Kalman loop and of the generator oracle,
+    or the error each raised."""
+    outcomes = []
+    for run in (F.run_filter_arrays, generator_run_kalman):
+        try:
+            outcomes.append(run(spec, phi, rate).tobytes())
+        except FilterDesignError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestKalmanLoopMatchesGenerator:
+    """The Kalman loop with the covariance recursion written in gives the
+    generator-driven loop's bytes."""
+
+    @pytest.mark.parametrize("row", KALMAN_ROWS, ids=row_id)
+    def test_published_rows(self, row):
+        dt = row.dt_ms / 1000.0
+        for params in (row.params, {**row.params, "q2": 1e-6},
+                       {**row.params, "alpha0": 0.05, "beta0": -0.001}):
+            spec = F.make_filter(row.variant, params, dt)
+            for n in (1, 2, 3, 400, 5000):
+                new, old = kalman_outcome(spec, *random_streams(n, n))
+                assert isinstance(new, bytes) and new == old
+
+    @PROPERTY
+    @given(variant=st.sampled_from(F.KALMAN_VARIANTS),
+           q1=st.floats(0.0, 1e-2), q2=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+           r=st.floats(0.0, 20.0), init=st.booleans(), dt=st.sampled_from([0.002, 0.01]),
+           n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_generated(self, variant, q1, q2, r, init, dt, n, seed):
+        params = {"q1": q1, "q2": q2, "r": r}
+        if init:
+            params.update(alpha0=0.00185, beta0=-0.00018)
+        spec = F.make_filter(variant, params, dt)
+        new, old = kalman_outcome(spec, *random_streams(n, seed))
+        assert new == old
+
+    def test_singular_innovation_raised_at_the_same_step(self, monkeypatch):
+        # zero covariances everywhere: the first innovation variance is 0
+        spec = F.make_filter("kalman", {"q1": 0.0, "q2": 0.0, "r": 0.0}, 0.01)
+        monkeypatch.setattr(F, "_initial_P", lambda spec: np.zeros((2, 2)))
+        new, old = kalman_outcome(spec, *random_streams(5, 1))
+        assert new == old == (FilterDesignError, "singular innovation covariance at step 1")
+
+    def test_loop_makes_no_python_call_per_sample(self):
+        # the generator made one Python call per sample
+        spec = published_spec(F.KALMAN_STAR)
+        phi, rate = random_streams(2000, 20)
+        run = partial(F.run_filter, spec)
+        assert _python_calls(run, (phi, rate)) < 30
+        assert _python_calls(run, (phi, rate)) == _python_calls(run, (phi[:20], rate[:20]))
+
+
+# Largest |convolution - loop| allowed, as a share of the stream's largest
+# magnitude; about 1e-14 is typical (module notes).
+CONVOLUTION_TOL = 1e-11
+
+
+def ref_params(variant, dt_ms):
+    return dict(next(r for r in ref.FILTER_TUNINGS
+                     if r.variant == variant and r.dt_ms == dt_ms).params)
+
+
+@st.composite
+def fixed_gain_cases(draw):
+    """A published fixed-gain row with each gain scaled by a factor in
+    [0, 2] (0 gives wb's beta = 0 and wa_a's theta = 0 rows)."""
+    row = draw(st.sampled_from(FIXED_GAIN_ROWS))
+    params = {name: value * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
+              for name, value in row.params.items()}
+    return row.variant, params, row.dt_ms / 1000.0
+
+
+class TestConvolutionMatchesLoop:
+    """The FFT convolution gives the loop's estimates to rounding."""
+
+    @PROPERTY
+    @given(case=fixed_gain_cases(), n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1),
+           magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(case=("wb", ref_params("wb", 10.0), 0.01), n=1000, seed=0, magnitude=1.0)
+    @example(case=("wb", {"alpha": 0.0, "beta": 0.0}, 0.002), n=1025, seed=1, magnitude=1.0)
+    @example(case=("wa_a", ref_params("wa_a", 2.0), 0.002), n=1000, seed=2, magnitude=1.0)
+    def test_property(self, case, n, seed, magnitude):
+        spec = F.make_filter(*case)
+        assume(F.check_stability(spec).classification != "unstable")
+        phi, rate = (magnitude * column for column in random_streams(n, seed))
+        loop = F.run_filter_arrays(spec, phi, rate)
+        fft = F.convolution_filter(spec.variant, phi, rate)(spec)
+        assert fft[0] == loop[0] == phi[0]
+        scale = max(np.max(np.abs(phi)), np.max(np.abs(rate)))
+        assert np.max(np.abs(fft - loop)) <= CONVOLUTION_TOL * scale
+
+    def test_edge_specs_are_marginal(self):
+        # the property's examples include the defective and marginal rows
+        for case in (("wb", ref_params("wb", 10.0), 0.01),
+                     ("wb", {"alpha": 0.0, "beta": 0.0}, 0.002),
+                     ("wa_a", ref_params("wa_a", 2.0), 0.002)):
+            assert F.check_stability(F.make_filter(*case)).marginal, case
+
+    def test_refusals(self):
+        phi, rate = random_streams(10, 21)
+        with pytest.raises(FilterConfigError, match="no fixed gain"):
+            F.convolution_filter("kalman", phi, rate)
+        with pytest.raises(ParameterError, match=r"rate_bar\[3\]"):
+            F.convolution_filter("wb", phi, np.where(np.arange(10) == 3, np.nan, rate))
+        estimates = F.convolution_filter("wob", phi, rate)
+        with pytest.raises(FilterConfigError, match="prepared for wob"):
+            estimates(published_spec("abtg"))
 
 
 class TestSteadyKalmanGainCap:

@@ -10,7 +10,8 @@ from tiltkit import reference as ref
 from tiltkit import tuning
 from tiltkit.correction import run_correction_arrays, scale_factor
 from tiltkit.errors import OptimizationFailure, ParameterError
-from tiltkit.filters import PARAMS, make_filter, run_filter_arrays
+from tiltkit.filters import (FIXED_GAIN_VARIANTS, PARAMS, convolution_filter, make_filter,
+                             run_filter_arrays)
 from tiltkit.analysis import mse
 from tiltkit.tuning import (
     _DEFAULT_X0,
@@ -92,6 +93,13 @@ class TestNelderMead:
     def test_initial_scale_positive_and_finite(self, scale):
         with pytest.raises(ParameterError, match="initial_scale"):
             OptimizerConfig(initial_scale=scale)
+
+    @pytest.mark.parametrize("name", ["tol_f", "tol_x"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tolerances_positive_and_finite(self, name, tol):
+        # an infinite tolerance stopped each pass at its first simplex
+        with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
+            nelder_mead(lambda x: (x[0] - 3.0) ** 2, [0.5], OptimizerConfig(**{name: tol}))
 
 
 def _scipy_pass(fn, start, cfg):
@@ -480,11 +488,34 @@ class TestTuneFilter:
             filtered.append(spec)
             return run_filter_arrays(spec, *args, **kwargs)
 
+        def recording_convolution_filter(*args):
+            estimates = convolution_filter(*args)
+
+            def recording_estimates(spec):
+                filtered.append(spec)
+                return estimates(spec)
+            return recording_estimates
+
         monkeypatch.setattr(tuning, "run_filter_arrays", recording_run_filter_arrays)
+        monkeypatch.setattr(tuning, "convolution_filter", recording_convolution_filter)
         cfg = OptimizerConfig(max_iterations=5, restarts=1, tol_f=1e-9, tol_x=1e-7)
         with np.errstate(all="ignore"), pytest.raises(OptimizationFailure):
             tune_filter(variant, stream, ref_phi, 0.01, cfg, x0=[1e200, 1e200])
         assert filtered == []
+
+    @pytest.mark.parametrize("variant", FIXED_GAIN_VARIANTS)
+    def test_reported_mse_is_the_loops(self, noisy_stream, variant):
+        # the search scores candidates by convolution; the reported MSEs
+        # are the filter loop's at the chosen point, as run gives them
+        stream, ref_phi = noisy_stream
+        v_stream, v_ref = tuple(c[:400] for c in stream), ref_phi[:400]
+        res = tune_filter(variant, stream, ref_phi, 0.01,
+                          OptimizerConfig(max_iterations=30, restarts=1,
+                                          tol_f=1e-9, tol_x=1e-7),
+                          verification=(v_stream, v_ref))
+        spec = make_filter(variant, res.parameters, 0.01)
+        assert res.training_mse == mse(ref_phi, run_filter_arrays(spec, *stream))
+        assert res.verification_mse == mse(v_ref, run_filter_arrays(spec, *v_stream))
 
     @pytest.mark.parametrize("where", ["training", "verification"])
     @pytest.mark.parametrize("defect", ["nan", "short"])
