@@ -58,11 +58,11 @@ class RunConfig:
     poly_y_4: float = 0.0
     poly_y_5: float = 0.0
 
-    R_m: float = 0.135
-    Rw_m: float = 0.0375
+    R_m: float = CorrectionParams.R
+    Rw_m: float = CorrectionParams.R_w
     N_ref: int = REF_ENCODER_PULSES_PER_REV
-    T_omega_s: float = 0.02557
-    T_v_s: float = 0.02045
+    T_omega_s: float = CorrectionParams.T_omega
+    T_v_s: float = CorrectionParams.T_v
 
     variant: str = "wb"
     alpha: Optional[float] = None

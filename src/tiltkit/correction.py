@@ -38,6 +38,7 @@ from math import atan2, cos, degrees, isfinite, pi, sin
 import numpy as np
 
 from .errors import ParameterError
+from .reference import SENSOR_DISTANCE_M, WHEEL_RADIUS_M, lowpass_tuning
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,11 @@ class CorrectionParams:
     accel_bias_y: float = 0.0      # m/s^2
     scale_poly_x: tuple = (0.0,) * 5   # coefficients for p^1..p^5, zero intercept
     scale_poly_y: tuple = (0.0,) * 5
-    R: float = 0.135               # sensor distance from the rotation axis, m
-    R_w: float = 0.0375            # wheel radius, m
-    T_omega: float = 0.02557       # rate low-pass time constant, s
-    T_v: float = 0.02045           # velocity low-pass time constant, s
+    R: float = SENSOR_DISTANCE_M   # sensor distance from the rotation axis, m
+    R_w: float = WHEEL_RADIUS_M    # wheel radius, m
+    # Low-pass time constants, s, for rate and velocity: the rig's 10 ms tuning.
+    T_omega: float = lowpass_tuning(10.0).T_omega
+    T_v: float = lowpass_tuning(10.0).T_v
 
     def __post_init__(self):
         # gyro_bias is left out: it is subtracted from every rate sample, so
@@ -75,13 +77,10 @@ class CorrectionParams:
             raise ParameterError(f"N_drive must be >= 1, got {self.N_drive}")
         if not self.R > 0 or not self.R_w > 0:
             raise ParameterError("R and R_w must be positive")
-        # Negative time constants are allowed (they occur in tuned results)
-        # as long as the low-pass recurrence stays contractive: T > -dt/2.
-        if not self.dt + 2.0 * self.T_omega > 0:
-            raise ParameterError(f"dt + 2*T_omega must be positive, got "
-                                 f"{self.dt + 2.0 * self.T_omega}")
-        if not self.dt + 2.0 * self.T_v > 0:
-            raise ParameterError(f"dt + 2*T_v must be positive, got {self.dt + 2.0 * self.T_v}")
+        # Negative time constants occur in tuned results; they are allowed
+        # as long as the low-pass recurrence stays contractive.
+        check_lowpass_bound(self.T_omega, self.dt, "T_omega")
+        check_lowpass_bound(self.T_v, self.dt, "T_v")
         if len(self.scale_poly_x) != 5 or len(self.scale_poly_y) != 5:
             raise ParameterError("scale polynomials take exactly 5 coefficients (degrees 1..5)")
 
@@ -139,16 +138,25 @@ def correct_accel(a_meas, bias, poly):
     return p - scale_factor(p, poly)
 
 
+def check_lowpass_bound(T, dt, name="T", error=ParameterError):
+    """Raise ``error``, naming the time constant ``name``, unless dt + 2*T > 0.
+
+    Negative T is accepted while T > -dt/2: the feedback gain T/(dt+T)
+    then lies in (-1, 0] and the recurrence is a contraction.  At or below
+    that bound the gain is <= -1 and the output oscillates without decaying.
+    """
+    if not dt + 2.0 * T > 0:
+        raise error(f"dt + 2*{name} must be positive (a low-pass needs dt + 2*T > 0), "
+                    f"got dt={dt}, {name}={T}")
+
+
 def lowpass_step(x, y_prev, T, dt):
     """One step of the first-order discrete low-pass (x*dt + y_prev*T)/(dt + T).
 
-    T = 0 passes the input through.  Negative T is accepted while
-    dt + 2*T > 0, that is T > -dt/2: the feedback gain T/(dt+T) then lies in
-    (-1, 0] and the recurrence is a contraction.  Below that bound the gain
-    is <= -1 and the output oscillates without decaying.
+    T = 0 passes the input through; :func:`check_lowpass_bound` holds the
+    bound on negative T.
     """
-    if not dt + 2.0 * T > 0:
-        raise ParameterError(f"low-pass needs dt + 2*T > 0, got dt={dt}, T={T}")
+    check_lowpass_bound(T, dt)
     return (x * dt + y_prev * T) / (dt + T)
 
 
@@ -244,8 +252,7 @@ def correction_pipeline_step(raw, params, state):
 
 def _lowpass_column(x, y0, T, dt):
     """:func:`lowpass_step` along float64 column ``x``, ``y0`` at sample 0; checks dt + 2*T once."""
-    if not dt + 2.0 * T > 0:
-        raise ParameterError(f"low-pass needs dt + 2*T > 0, got dt={dt}, T={T}")
+    check_lowpass_bound(T, dt)
     d = dt + T
     out = np.empty(len(x))
     y = out[0] = y0

@@ -91,6 +91,7 @@ from typing import Optional
 
 import numpy as np
 
+from .correction import check_lowpass_bound
 from .errors import FilterConfigError, FilterDesignError, ParameterError
 
 WOB = "wob"
@@ -226,9 +227,7 @@ def make_filter(variant, params, dt):
                           [0.0, p["theta"] / dt]])
     elif variant == COMPLEMENTARY:
         T_c = p["T_c"]
-        if not dt + T_c > 0:
-            raise FilterConfigError(f"complementary filter needs dt + T_c > 0, "
-                                    f"got dt={dt}, T_c={T_c}")
+        check_lowpass_bound(T_c, dt, "T_c", FilterConfigError)
         den = dt + T_c
         A = np.array([[T_c / den]])
         B = np.array([[dt / den, T_c * dt / den]])

@@ -263,8 +263,7 @@ def write_columns(path, header, columns, line_end="\n"):
 
 
 def write_log(path, log):
-    """Write a :class:`RawLog` as CSV; a sample sequence goes through
-    :meth:`RawLog.from_samples` first."""
+    """Write a :class:`RawLog` as CSV."""
     write_columns(path, CSV_HEADER,
                   (log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
                    (log.enc_count, log.enc_missing), log.ref_count), "\r\n")

@@ -147,14 +147,6 @@ def euler_step(p, p_dot, p_ddot, dt):
     return p + p_dot * dt + 0.5 * p_ddot * dt * dt, p_dot + p_ddot * dt
 
 
-def _clamp(x, limit):
-    if x > limit:
-        return limit
-    if x < -limit:
-        return -limit
-    return x
-
-
 def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
     """Ideal accelerometer readings for a given tilt and motion terms.
 
@@ -167,18 +159,6 @@ def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
     ax = GRAVITY * sin(phi_r) - a_e - a_t_x
     ay = GRAVITY * cos(phi_r) - a_c + a_t_y
     return ax, ay
-
-
-def _corrupt_accel_axis(a_true, bias, poly, noise, saturation):
-    # Forward scale-factor distortion evaluates the polynomial at the true
-    # component; the correction side evaluates it at measurement - bias.
-    return _clamp(a_true + scale_factor(a_true, poly) + bias + noise, saturation)
-
-
-def _corrupt_accel_pair(phi_deg, a_e, a_c, a_t_x, a_t_y, model, nx, ny):
-    ax_true, ay_true = true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y)
-    return (_corrupt_accel_axis(ax_true, model.bias_x, model.scale_poly_x, nx, model.saturation),
-            _corrupt_accel_axis(ay_true, model.bias_y, model.scale_poly_y, ny, model.saturation))
 
 
 def simulate_run(profile, gyro, accel, params, seed):
@@ -255,10 +235,16 @@ def simulate_run(profile, gyro, accel, params, seed):
     # The shadow starts from the corrector's vertical prior; a_t is zero at
     # sample 0, so the projection embeds exact zeros there.
     phi_bar = CorrectionState.prev_phi_bar
+    sat = accel.saturation
     for k, (phi, a_c_k, a_e_k, a_t_k, nx, ny) in enumerate(columns):
         a_t_x, a_t_y = project_translational(a_t_k, phi_bar)
-        ax, ay = _corrupt_accel_pair(phi, a_e_k, a_c_k, a_t_x, a_t_y, accel, nx, ny)
-        ax_out[k], ay_out[k] = ax, ay
+        ax, ay = true_accel_components(phi, a_e_k, a_c_k, a_t_x, a_t_y)
+        # Forward scale-factor distortion evaluates the polynomial at the true
+        # component; the correction side evaluates it at measurement - bias.
+        ax = ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + nx
+        ay = ay + scale_factor(ay, accel.scale_poly_y) + accel.bias_y + ny
+        ax_out[k] = ax = sat if ax > sat else -sat if ax < -sat else ax
+        ay_out[k] = ay = sat if ay > sat else -sat if ay < -sat else ay
         # Advance the shadow tilt exactly as the corrector will.
         phi_bar, _ = tilt_or_previous(
             correct_accel(ax, params.accel_bias_x, params.scale_poly_x),

@@ -23,7 +23,6 @@ be evaluated concurrently; the simplex update itself is sequential.
 
 from dataclasses import dataclass, replace
 from math import fsum, isfinite
-from typing import Optional
 
 import numpy as np
 
@@ -144,14 +143,14 @@ def _simplex_pass(objective, sim, f0, max_iterations, xatol, fatol):
     return sim[0], np.min(fsim), iterations, iterations < max_iterations
 
 
-def nelder_mead(objective, x0, cfg: Optional[OptimizerConfig] = None):
+def nelder_mead(objective, x0, cfg: OptimizerConfig):
     """Minimise ``objective`` from ``x0`` with restarts; returns OptResult.
 
-    Raises :class:`OptimizationFailure` when no trial start produces a
-    finite objective value.
+    ``cfg`` sets the pass count, the simplex step, the stop test and the
+    restart seed; there is no default search.  Raises
+    :class:`OptimizationFailure` when no trial start produces a finite
+    objective value.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     rng = np.random.default_rng(cfg.seed)
 
@@ -265,14 +264,14 @@ class TimeConstantResult:
     opt: OptResult
 
 
-def tune_time_constants(log, ref_phi, params, cfg: Optional[OptimizerConfig] = None,
-                        x0=None):
+def tune_time_constants(log, ref_phi, params, cfg: OptimizerConfig, x0=None):
     """Pick the two low-pass constants minimising corrected-tilt MSE.
 
-    The objective is inf where :class:`CorrectionParams` refuses a constant
-    (dt + 2*T <= 0, a non-contractive low-pass).  A non-finite
-    ``params.gyro_bias`` is refused before the search: every trial would be
-    non-finite.
+    ``cfg`` is the search's :class:`OptimizerConfig`; ``x0`` defaults to
+    (2*dt, 2*dt).  The objective is inf where :class:`CorrectionParams`
+    refuses a constant (dt + 2*T <= 0, a non-contractive low-pass).  A
+    non-finite ``params.gyro_bias`` is refused before the search: every
+    trial would be non-finite.
     """
     ref = np.asarray(ref_phi, dtype=float)
     if len(ref) != len(log):
@@ -290,8 +289,6 @@ def tune_time_constants(log, ref_phi, params, cfg: Optional[OptimizerConfig] = N
 
     if x0 is None:
         x0 = (2.0 * params.dt, 2.0 * params.dt)
-    if cfg is None:
-        cfg = OptimizerConfig(initial_scale=1.0, restarts=2, tol_f=1e-10, tol_x=1e-8)
     opt = nelder_mead(objective, x0, cfg)
     return TimeConstantResult(T_omega=float(opt.x[0]), T_v=float(opt.x[1]),
                               mse=opt.fun, opt=opt)
@@ -328,14 +325,16 @@ _DEFAULT_X0 = {
 }
 
 
-def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] = None,
-                x0=None, kalman_init_gains=None, verification=None):
+def tune_filter(variant, corrected, ref_phi, dt, cfg: OptimizerConfig, x0=None,
+                kalman_init_gains=None, verification=None):
     """Minimise estimate MSE over a variant's parameters.
 
-    Fixed-gain variants search their named gains directly and reject
-    candidates that :func:`check_stability` classifies ``unstable``; the
-    kalman variants search (q1, q2, r) through a squared reparameterisation
-    that keeps them nonnegative, optionally pinning the first gain to
+    ``cfg`` is the search's :class:`OptimizerConfig`; ``x0`` defaults to
+    the variant's seed in ``_DEFAULT_X0``.  Fixed-gain variants search
+    their named gains directly and reject candidates that
+    :func:`check_stability` classifies ``unstable``; the kalman variants
+    search (q1, q2, r) through a squared reparameterisation that keeps
+    them nonnegative, optionally pinning the first gain to
     ``kalman_init_gains`` = (alpha0, beta0).
 
     The search scores a fixed-gain candidate from
@@ -400,9 +399,6 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: Optional[OptimizerConfig] 
         if np.any(vec0 < 0):
             raise ParameterError("kalman seeds (q1, q2, r) must be nonnegative")
         vec0 = np.sqrt(vec0)
-    if cfg is None:
-        cfg = OptimizerConfig(max_iterations=400, initial_scale=1.0,
-                              tol_f=1e-9, tol_x=1e-7, restarts=2)
 
     try:
         opt = nelder_mead(objective, vec0, cfg)

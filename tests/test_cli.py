@@ -181,6 +181,20 @@ class TestCommands:
         assert "alpha=nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
 
+    def test_run_non_contractive_complementary_exit_4(self, tmp_path, capsys):
+        # T_c = -0.008 at 10 ms puts the gain T_c/(dt + T_c) at -4: the
+        # estimates would grow without bound
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        bad_path, _ = write_config(tmp_path, name="bad.cfg", variant="complementary",
+                                   T_c=-0.008, alpha=None, beta=None)
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv")]) == EXIT_CONTRACT
+        assert "dt + 2*T_c must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.csv").exists()
+
     @pytest.mark.parametrize("key", ["gyro_noise_std_dps", "gyro_bias_dps"])
     def test_simulate_non_finite_gyro_model_exit_4(self, tmp_path, capsys, key):
         cfg_path, _ = write_config(tmp_path, **{key: float("nan")})

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import rig_params, simulate_rig
 from test_readers import PROPERTY, _python_calls
 from tiltkit import reference as ref
+from tiltkit.config import RunConfig
 from tiltkit.correction import (
     _lowpass_column,
     CorrectedSample,
@@ -423,6 +424,14 @@ class TestParamsValidation:
                 CorrectionParams(dt=dt, N_drive=100, **{field: T})
         T = np.nextafter(-dt / 2, 0.0)
         assert getattr(CorrectionParams(dt=dt, N_drive=100, **{field: T}), field) == T
+
+    def test_rig_defaults_from_reference(self):
+        # one source for the rig's geometry and its 10 ms low-pass tuning
+        params = CorrectionParams(dt=0.01, N_drive=1)
+        lp = ref.lowpass_tuning(10.0)
+        assert (params.R, params.R_w, params.T_omega, params.T_v) == (
+            ref.SENSOR_DISTANCE_M, ref.WHEEL_RADIUS_M, lp.T_omega, lp.T_v)
+        assert RunConfig(dt_ms=10, N_drive=1).correction_params() == params
 
     def test_bundled_tunings_inside_contractive_bound(self):
         for row in ref.LOWPASS_TUNINGS:

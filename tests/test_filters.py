@@ -83,6 +83,15 @@ class TestMakeFilter:
         with pytest.raises(FilterConfigError):
             F.make_filter("complementary", {"T_c": -0.01}, 0.002)
 
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.02])
+    def test_complementary_bound_is_minus_half_dt(self, dt):
+        # the gain T_c/(dt + T_c) reaches -1 at T_c = -dt/2, as the low-pass's
+        for T_c in (-dt / 2, np.nextafter(-dt / 2, -1.0), -0.8 * dt):
+            with pytest.raises(FilterConfigError, match=r"^dt \+ 2\*T_c must be positive"):
+                F.make_filter("complementary", {"T_c": T_c}, dt)
+        T_c = np.nextafter(-dt / 2, 0.0)
+        assert -1 < F.make_filter("complementary", {"T_c": T_c}, dt).A[0, 0] < 0
+
     @pytest.mark.parametrize("variant", F.ALL_VARIANTS)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameters_rejected(self, variant, bad):
@@ -525,7 +534,15 @@ class TestSharedLoopMatchesUnrolled:
         # After an estimate overflows, a padded zero times inf gives nan
         # where the unrolled loops could still hold +-inf; the estimates
         # are non-finite at the same samples and the finite ones identical.
-        spec = F.make_filter(variant, params, 0.002)
+        if variant == "complementary":
+            # make_filter refuses dt + 2*T_c <= 0: write out the spec it
+            # would build, with the gain T_c/(dt + T_c) = -19
+            dt, T_c = 0.002, params["T_c"]
+            spec = replace(F.make_filter(variant, {"T_c": 0.0}, dt), params=params,
+                           A=np.array([[T_c / (dt + T_c)]]),
+                           B=np.array([[dt / (dt + T_c), T_c * dt / (dt + T_c)]]))
+        else:
+            spec = F.make_filter(variant, params, 0.002)
         phi, rate = random_streams(5000, 19)
         with np.errstate(all="ignore"):
             new = F.run_filter_arrays(spec, phi, rate)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import RIG_N_DRIVE, rig_models, rig_params, simulate_rig
 from oracles import shadow_simulate_run
+from test_readers import _python_calls
 from tiltkit import reference as ref
 from tiltkit.correction import run_correction_arrays
 from tiltkit.errors import ParameterError, SimulationError
@@ -185,6 +186,23 @@ class TestSimulateRun:
                                 scale_poly_x=(0.01, 0.0, 0.0, 0.0, 0.001))
         profile = default_dynamic_profile(1.5, 0.01, tilt_amp_deg=30.0)
         self._assert_bit_identical(profile, gyro, accel, params, seed=11)
+
+    def test_python_calls_per_sample(self):
+        # Per sample, the truth loop calls the two profile drives and two
+        # Euler steps; the accelerometer loop calls the projection (with
+        # its degree conversion), true_accel_components, scale_factor for
+        # each axis and the shadow tilt with its two correct_accel calls
+        # (one scale_factor each): 14 in all.  The rest is a fixed cost.
+        params = rig_params(with_errors=True)
+        gyro, accel = rig_models(True, 0.17, 0.1)
+
+        def simulate(n):
+            profile = default_dynamic_profile(n * params.dt, params.dt)
+            return simulate_run(profile, gyro, accel, params, 3)
+
+        n = 500
+        per_sample = (_python_calls(simulate, 2 * n) - _python_calls(simulate, n)) / n
+        assert per_sample == int(per_sample) <= 14
 
     @staticmethod
     def _assert_bit_identical(profile, gyro, accel, params, seed):

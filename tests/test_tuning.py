@@ -364,7 +364,8 @@ class TestTuneTimeConstants:
         monkeypatch.setattr(tuning, "run_correction_arrays", no_correction)
         from dataclasses import replace
         with pytest.raises(ParameterError, match="^gyro_bias must be finite"):
-            tune_time_constants(log, truth.phi_deg, replace(params, gyro_bias=bias))
+            tune_time_constants(log, truth.phi_deg, replace(params, gyro_bias=bias),
+                                OptimizerConfig())
 
     def test_feasible_region_ends_at_minus_half_dt(self, monkeypatch):
         # the objective is inf from T = -dt/2 down, where the low-pass stops
@@ -537,7 +538,7 @@ class TestTuneFilter:
         else:
             args, verification = (stream, ref_phi), ((phi, rate), ref_phi)
         with pytest.raises(ParameterError):
-            tune_filter("wb", *args, 0.01, x0=[0.00185, -0.00018],
+            tune_filter("wb", *args, 0.01, OptimizerConfig(), x0=[0.00185, -0.00018],
                         verification=verification)
 
     def test_verification_reference_length_refused_before_search(self, noisy_stream,
@@ -549,8 +550,8 @@ class TestTuneFilter:
 
         monkeypatch.setattr(tuning, "nelder_mead", no_search)
         with pytest.raises(ParameterError, match="verification"):
-            tune_filter("wb", stream, ref_phi, 0.01, x0=[0.00185, -0.00018],
-                        verification=(stream, ref_phi[:-1]))
+            tune_filter("wb", stream, ref_phi, 0.01, OptimizerConfig(),
+                        x0=[0.00185, -0.00018], verification=(stream, ref_phi[:-1]))
 
     def test_default_seeds_cover_registry(self):
         # the one per-variant table kept outside filters must follow PARAMS
