@@ -1,6 +1,7 @@
 """Command-line surface wiring the library into reproducible batch jobs.
 
-Subcommands::
+Subcommands; each takes --config, --out and only the flags :data:`COMMANDS`
+lists for it, and any other flag, like a missing --log, is a usage error::
 
     simulate   write truth.csv + log.csv for the configured profile/models
     calibrate  estimate static biases (and scale polynomials when a
@@ -12,9 +13,10 @@ Subcommands::
     eval       MSE between an estimate column and a reference column
     spectrum   magnitude spectrum of one log column
 
-Every command echoes the resolved configuration and seed, writes artifacts
-into --out, and never embeds timestamps, so identical inputs produce
-byte-identical outputs.
+run, tune and spectrum (given a t column) refuse a log sampled at another
+period than the configured one.  Every command echoes the resolved
+configuration and seed, writes artifacts into --out, and never embeds
+timestamps, so identical inputs produce byte-identical outputs.
 
 Exit codes: 0 ok, 2 usage, 3 parse, 4 numeric/contract, 5 optimization
 failure.
@@ -49,8 +51,6 @@ EXIT_PARSE = 3
 EXIT_CONTRACT = 4
 EXIT_OPTIMIZATION = 5
 
-COMMANDS = ("simulate", "calibrate", "tune", "run", "eval", "spectrum")
-
 
 def accumulate_reference(ref_counts, N_ref):
     """Reference tilt from encoder pulse counts: cumulative 360*n/N degrees.
@@ -64,37 +64,45 @@ def accumulate_reference(ref_counts, N_ref):
     return np.cumsum(counts) * (360.0 / N_ref)
 
 
+# The flags besides --config and --out; COMMANDS gives each command its own.
+FLAGS = {
+    "--log": dict(required=True, help="input CSV log"),
+    "--variant": dict(help="filter variant override"),
+    "--dt-ms": dict(type=float, help="sample time override, ms"),
+    "--seed": dict(type=int, help="seed override"),
+    "--debug-intermediates": dict(action="store_true",
+                                  help="include correction intermediates in run output"),
+    "--truth": dict(help="reference CSV (e.g. simulate's truth.csv)"),
+    "--est-column": dict(default="phi_hat_deg"),
+    "--ref-column": dict(default="phi_deg"),
+    "--channel": dict(default="gyro_dps", help="column to analyse"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tiltkit",
         description="Tilt measurement toolkit: simulate, correct, filter, tune.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--log", help="input CSV log")
-        p.add_argument("--variant", help="filter variant override")
-        p.add_argument("--dt-ms", type=float, dest="dt_ms", help="sample time override, ms")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--debug-intermediates", action="store_true",
-                       help="include correction intermediates in run output")
-        if name == "eval":
-            p.add_argument("--truth", help="reference CSV (e.g. simulate's truth.csv)")
-            p.add_argument("--est-column", default="phi_hat_deg")
-            p.add_argument("--ref-column", default="phi_deg")
-        if name == "spectrum":
-            p.add_argument("--channel", default="gyro_dps", help="column to analyse")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def _resolve_config(args):
     config = load_config(args.config)
-    if args.dt_ms is not None:
+    opts = vars(args)
+    if opts.get("dt_ms") is not None:
         config.dt_ms = args.dt_ms
-    if args.seed is not None:
+    if opts.get("seed") is not None:
         config.seed = args.seed
-    if args.variant is not None and args.variant != "lowpass":
+    # lowpass is tune's mode for the correction's time constants, not a variant
+    if opts.get("variant") is not None and (args.command, args.variant) != ("tune", "lowpass"):
         config.variant = filters.canonical_variant(args.variant)
     return config
 
@@ -139,8 +147,6 @@ def cmd_calibrate(config, args):
     fit the scale-factor polynomials against the reference tilt, removing
     the biases already stored in the config (run the static stage first).
     """
-    if not args.log:
-        raise ConfigError("calibrate needs --log with a recording")
     log = parse_log(args.log)
 
     lines = []
@@ -181,10 +187,8 @@ def cmd_calibrate(config, args):
 
 
 def cmd_tune(config, args):
-    if not args.log:
-        raise ConfigError("tune needs --log with a training recording")
     log = parse_log(args.log)
-    check_dt_matches(config, log)
+    check_dt_matches(config, log.t)
     if log.ref_count is None:
         raise ConfigError("tune needs a log with the reference channel (ref_count)")
     ref_phi = accumulate_reference(log.ref_count, config.N_ref)
@@ -211,10 +215,8 @@ def cmd_tune(config, args):
 
 
 def cmd_run(config, args):
-    if not args.log:
-        raise ConfigError("run needs --log")
     log = parse_log(args.log)
-    check_dt_matches(config, log)
+    check_dt_matches(config, log.t)
     params = config.correction_params()
     corrected = correct_columns(log, params)
 
@@ -249,8 +251,6 @@ def _column(columns, name, path):
 
 
 def cmd_eval(config, args):
-    if not args.log:
-        raise ConfigError("eval needs --log with the estimate CSV")
     est_cols = read_columns(args.log)
     ref_path = args.truth or args.log
     ref_cols = read_columns(args.truth) if args.truth else est_cols
@@ -266,9 +266,10 @@ def cmd_eval(config, args):
 
 
 def cmd_spectrum(config, args):
-    if not args.log:
-        raise ConfigError("spectrum needs --log")
-    signal = _column(read_columns(args.log), args.channel, args.log)
+    columns = read_columns(args.log)
+    if "t" in columns:
+        check_dt_matches(config, _column(columns, "t", args.log))
+    signal = _column(columns, args.channel, args.log)
     sp = analysis.noise_spectrum(signal, config.dt)
     write_columns(_outpath(args, "spectrum.csv"), ["frequency_hz", "magnitude"],
                   [sp.frequencies, sp.magnitudes])
@@ -277,22 +278,15 @@ def cmd_spectrum(config, args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "tune": cmd_tune,
-    "run": cmd_run,
-    "eval": cmd_eval,
-    "spectrum": cmd_spectrum,
+# Each command's handler and the flags it reads besides --config and --out.
+COMMANDS = {
+    "simulate": (cmd_simulate, ("--dt-ms", "--seed")),
+    "calibrate": (cmd_calibrate, ("--log",)),
+    "tune": (cmd_tune, ("--log", "--variant", "--dt-ms", "--seed")),
+    "run": (cmd_run, ("--log", "--variant", "--dt-ms", "--debug-intermediates")),
+    "eval": (cmd_eval, ("--log", "--truth", "--est-column", "--ref-column")),
+    "spectrum": (cmd_spectrum, ("--log", "--dt-ms", "--channel")),
 }
-
-
-def dispatch(command, config, args):
-    """Run one subcommand against a resolved config; returns the exit code."""
-    if command not in _HANDLERS:
-        raise ConfigError(f"unknown command {command!r}")
-    _echo(config)
-    return _HANDLERS[command](config, args)
 
 
 def main(argv=None):
@@ -303,7 +297,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         config = _resolve_config(args)
-        return dispatch(args.command, config, args)
+        _echo(config)
+        return args.handler(config, args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

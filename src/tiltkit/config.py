@@ -18,8 +18,10 @@ encoder resolution is rig-specific and has no safe default.
 from dataclasses import dataclass, fields
 from typing import Optional, get_args
 
+import numpy as np
+
 from .correction import CorrectionParams
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParameterError, ParseError
 from .filters import PARAMS, canonical_variant
 from .model import AccelErrorModel, GyroErrorModel
 from .reference import (
@@ -169,10 +171,13 @@ def load_config(path):
         return parse_config_text(fh.read())
 
 
-def check_dt_matches(config, log):
-    """Raise :class:`ConfigError` when the log's sample period disagrees
-    with the configured one (relative tolerance 1e-6)."""
-    log_dt = log.dt
+def check_dt_matches(config, t):
+    """Raise :class:`ConfigError` when the median step of the timestamp
+    column ``t`` disagrees with the configured sample period (relative
+    tolerance 1e-6)."""
+    if len(t) < 2:
+        raise ParameterError("cannot infer dt from fewer than two samples")
+    log_dt = float(np.median(np.diff(t)))
     if abs(log_dt - config.dt) > 1e-6 * max(log_dt, config.dt):
         raise ConfigError(
             f"configured dt is {config.dt} s but the log is sampled at "

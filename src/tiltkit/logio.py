@@ -92,13 +92,6 @@ class RawLog:
         for k in range(len(self)):
             yield self[k]
 
-    @property
-    def dt(self):
-        """Median sample period, seconds."""
-        if len(self.t) < 2:
-            raise ParameterError("cannot infer dt from fewer than two samples")
-        return float(np.median(np.diff(self.t)))
-
     @classmethod
     def from_samples(cls, samples):
         samples = list(samples)
@@ -263,7 +256,15 @@ def write_columns(path, header, columns, line_end="\n"):
 
 
 def write_log(path, log):
-    """Write a :class:`RawLog` as CSV."""
+    """Write a :class:`RawLog` as CSV.  A non-finite ``t``, gyro or
+    acceleration value, which :func:`parse_log` would refuse, is a
+    :class:`ParameterError` naming its column and first row, raised before
+    the file is opened."""
+    for name in CSV_HEADER[:4]:
+        column = getattr(log, name)
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ParameterError(f"column {name} row {bad[0]} is {column[bad[0]]}, not finite")
     write_columns(path, CSV_HEADER,
                   (log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
                    (log.enc_count, log.enc_missing), log.ref_count), "\r\n")

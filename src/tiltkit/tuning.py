@@ -84,7 +84,6 @@ class OptResult:
     fun: float
     iterations: int
     converged: bool
-    passes: int
 
 
 def _initial_simplex(x0, scale):
@@ -166,7 +165,7 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig):
             iterations += nit
             if best is None or fun < best.fun:
                 best = OptResult(x=x, fun=float(fun), iterations=iterations,
-                                 converged=converged, passes=0)
+                                 converged=converged)
         anchor = x0 if best is None else best.x
         steps = np.array([cfg.initial_scale * (abs(v) if v != 0.0 else 0.01)
                           for v in anchor])
@@ -175,7 +174,6 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig):
     if best is None:
         raise OptimizationFailure("objective was non-finite at every trial start")
     best.iterations = iterations
-    best.passes = cfg.restarts
     return best
 
 

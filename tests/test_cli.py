@@ -7,13 +7,13 @@ import pytest
 from oracles import rowwise_estimate_csv, rowwise_spectrum_csv
 from tiltkit import reference as ref
 from tiltkit.analysis import noise_spectrum
-from tiltkit.cli import accumulate_reference, main
+from tiltkit.cli import accumulate_reference, build_parser, main
 from tiltkit.cli import EXIT_CONTRACT
 from tiltkit.config import RunConfig, load_config, parse_config_text
 from tiltkit.correction import run_correction
 from tiltkit.filters import PARAMS, make_filter, run_filter
 from tiltkit.errors import ParseError
-from tiltkit.logio import parse_log, read_columns, write_log, RawLog
+from tiltkit.logio import parse_log, read_columns, write_columns, write_log, RawLog
 
 
 class TestAccumulateReference:
@@ -302,6 +302,69 @@ class TestCommands:
         assert main([command, "--config", str(cfg_path), "--out", str(out)] + argv) == EXIT_CONTRACT
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    # The 16 (command, flag) pairs whose flag the command does not read.
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--log x.csv"), ("simulate", "--variant wb"),
+        ("simulate", "--debug-intermediates"),
+        ("calibrate", "--variant wb"), ("calibrate", "--dt-ms 10"), ("calibrate", "--seed 1"),
+        ("calibrate", "--debug-intermediates"),
+        ("tune", "--debug-intermediates"),
+        ("run", "--seed 1"),
+        ("eval", "--variant wb"), ("eval", "--dt-ms 10"), ("eval", "--seed 1"),
+        ("eval", "--debug-intermediates"),
+        ("spectrum", "--variant wb"), ("spectrum", "--seed 1"),
+        ("spectrum", "--debug-intermediates"),
+    ])
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, capsys, command, flag):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command != "simulate":
+            argv += ["--log", "x.csv"]
+        build_parser().parse_args(argv)  # parses without the flag
+        capsys.readouterr()
+        assert main(argv + flag.split()) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "tune", "run", "eval", "spectrum"])
+    def test_missing_log_exit_2(self, tmp_path, capsys, command):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "the following arguments are required: --log" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_lowpass_is_not_a_variant_exit_4(self, tmp_path, capsys):
+        # lowpass names tune's time-constant mode; run has no such mode
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv"), "--variant", "lowpass"]) == EXIT_CONTRACT
+        assert "unknown filter variant 'lowpass'" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    def test_spectrum_dt_mismatch_exit_4_as_run(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "--log", str(out / "log.csv"), "--dt-ms", "2"]
+        assert main(["spectrum", "--out", str(tmp_path / "sp")] + argv) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert "configured dt is 0.002 s but the log is sampled at" in err
+        assert main(["run", "--out", str(tmp_path / "est")] + argv) == EXIT_CONTRACT
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "sp").exists()
+        # a CSV without a t column has no sample period to check
+        no_t = tmp_path / "gyro.csv"
+        write_columns(no_t, ["gyro_dps"], [read_columns(out / "log.csv")["gyro_dps"]])
+        assert main(["spectrum", "--out", str(tmp_path / "sp"), "--config", str(cfg_path),
+                     "--log", str(no_t), "--dt-ms", "2"]) == 0
+        assert read_columns(tmp_path / "sp" / "spectrum.csv")["frequency_hz"][-1] == 250.0
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -170,15 +170,17 @@ def test_read_columns_rejects_bad_fields(tmp_path, text, line, column):
 # non-finite values.
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16,
                   float("inf"), float("nan"))
+# write_log refuses the non-finite ones, as parse_log would.
+FINITE_SPECIAL_FLOATS = SPECIAL_FLOATS[:-2]
 WRITER_SIZES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
 
 
-def _float_columns(n, k, seed):
+def _float_columns(n, k, seed, specials=SPECIAL_FLOATS):
     """k float columns of n rows, the special values spread over each one."""
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-30, 30, (k, n))
     for c in range(k):
-        for i, value in enumerate(SPECIAL_FLOATS):
+        for i, value in enumerate(specials):
             if n:
                 cols[c, (c + i * 613) % n] = value
     return cols
@@ -194,7 +196,7 @@ def _assert_same_bytes(tmp_path, write, reference, *args):
 @pytest.mark.parametrize("ref", ["absent", "full"])
 def test_write_log_matches_rowwise_writer(tmp_path, n, ref):
     rng = np.random.default_rng(n)
-    t, gyro, acc_x, acc_y = _float_columns(n, 4, seed=n)
+    t, gyro, acc_x, acc_y = _float_columns(n, 4, seed=n, specials=FINITE_SPECIAL_FLOATS)
     enc = rng.integers(-2 ** 62, 2 ** 62, n)
     missing = rng.random(n) < 0.2
     missing[BLOCK_ROWS - 1:BLOCK_ROWS + 1] = True
@@ -207,7 +209,7 @@ def test_write_log_matches_rowwise_writer(tmp_path, n, ref):
 def test_write_log_of_samples_matches_rowwise_writer(tmp_path, n):
     # some samples carry no ref_count (written as 0 once any sample has one),
     # some an empty enc_count field
-    floats = _float_columns(n, 4, seed=n + 1)
+    floats = _float_columns(n, 4, seed=n + 1, specials=FINITE_SPECIAL_FLOATS)
     samples = [RawSample(t, g, ax, ay, enc_count=k - 3, ref_count=None if k % 3 else k,
                          enc_missing=k % 5 == 0)
                for k, (t, g, ax, ay) in enumerate(floats.T.tolist())]
@@ -215,6 +217,19 @@ def test_write_log_of_samples_matches_rowwise_writer(tmp_path, n):
     no_ref = [RawSample(s.t, s.gyro_dps, s.acc_x_mps2, s.acc_y_mps2, s.enc_count)
               for s in samples]
     _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog.from_samples(no_ref))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["t", "gyro_dps", "acc_x_mps2", "acc_y_mps2"])
+def test_write_log_refuses_non_finite_values(tmp_path, name, value):
+    # parse_log would refuse the file; write_log does not write it
+    n = 10
+    log = RawLog(np.arange(n) * 0.01, np.zeros(n), np.zeros(n), np.full(n, 9.8),
+                 np.zeros(n, dtype=int))
+    getattr(log, name)[[3, 7]] = value
+    with pytest.raises(ParameterError, match=f"^column {name} row 3 is {value}, not finite$"):
+        write_log(tmp_path / "log.csv", log)
+    assert not (tmp_path / "log.csv").exists()
 
 
 @pytest.mark.parametrize("n", WRITER_SIZES)
