@@ -3,8 +3,8 @@
 # 1 s simulate -> run -> eval chain with the 10 ms wb reference tuning, then
 # calibrate and spectrum on the simulated log, in a fresh temporary
 # directory outside the checkout.  tune needs a ref_count column, which
-# simulate does not write.  A flag the command does not read must be a usage
-# error (exit 2).
+# simulate does not write.  A flag the command does not read, and the prefix
+# of one it does, must be a usage error (exit 2).
 #
 #   bash .github/cli_smoke.sh "$(command -v tiltkit)"
 set -euo pipefail
@@ -20,5 +20,11 @@ code=0
 "$tiltkit" simulate --config run.cfg --out refused --log out/log.csv || code=$?
 if [ "$code" -ne 2 ] || [ -e refused ]; then
   echo "simulate --log exited $code, want the usage error 2 and no output directory"
+  exit 1
+fi
+code=0
+"$tiltkit" simulate --config run.cfg --out abbreviated --se 3 || code=$?
+if [ "$code" -ne 2 ] || [ -e abbreviated ]; then
+  echo "simulate --se exited $code, want the usage error 2 and no output directory"
   exit 1
 fi

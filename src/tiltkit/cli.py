@@ -81,11 +81,11 @@ FLAGS = {
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="tiltkit",
+        prog="tiltkit", allow_abbrev=False,
         description="Tilt measurement toolkit: simulate, correct, filter, tune.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, flags) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # a flag prefix is a usage error
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")

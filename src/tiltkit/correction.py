@@ -16,14 +16,17 @@ motion terms, converted with pi/180.
 
 Each formula has one scalar helper.  :func:`correct_columns` is the
 whole-log kernel: its elementwise stages call the helpers on float64
-columns.  Its two sequential parts, the low-pass recurrences and
-the tilt feedback (whose translational projection uses the previous
-corrected tilt), are plain-float loops that repeat the formulas of
-:func:`lowpass_step`, :func:`project_translational` and
-:func:`tilt_or_previous` inline, so that no sample makes a Python call.
-The simulator shares its motion pre-pass, :func:`motion_columns`.
-:func:`correction_pipeline_step`, which calls the helpers, is the
+columns.  Its two sequential parts make no Python call per sample.  The
+low-pass recurrences are plain-float loops that repeat
+:func:`lowpass_step` inline.  The tilt feedback, phi_k = F_k(phi_{k-1})
+through the translational projection on the previous corrected tilt, is
+settled by :func:`settle_tilt` in whole-block numpy passes (waveform
+relaxation); a pass that changes no bit is the sequential loop's answer.
+The simulator shares the motion pre-pass, :func:`motion_columns`, and the
+sweep.  :func:`correction_pipeline_step`, which calls the helpers, is the
 one-sample streaming reference; the kernel returns its values bit for bit.
+Both take numpy's arctangent, which differs from ``math.atan2`` by an ulp
+on some arguments.
 
 The per-sample state machine is strictly causal and single-owner: one
 :class:`CorrectionState` belongs to one stream.  Separate streams can be
@@ -33,7 +36,7 @@ processed concurrently with independent states.
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import count
-from math import atan2, cos, degrees, isfinite, pi, sin
+from math import degrees, isfinite, pi
 
 import numpy as np
 
@@ -187,9 +190,10 @@ def angular_terms(rate_r, rate_f, prev_rate_f, params):
 
 
 def project_translational(a_t, prev_phi_bar):
-    """Projections ``(a_t_x, a_t_y)`` of a_t on the previous corrected tilt (degrees)."""
+    """Projections ``(a_t_x, a_t_y)`` of a_t on the previous corrected tilt
+    (degrees), for floats or float64 columns alike."""
     prev_rad = _to_rad(prev_phi_bar)
-    return a_t * cos(prev_rad), a_t * sin(prev_rad)
+    return a_t * np.cos(prev_rad), a_t * np.sin(prev_rad)
 
 
 def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
@@ -198,13 +202,14 @@ def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
     Quadrant-aware arctangent of (ax_bar + a_e + a_t_x) over
     (ay_bar + a_c - a_t_y), in degrees in (-180, 180].  Where both
     arguments are zero the tilt is undefined, and the result is
-    ``(prev_phi_bar, True)`` so that the stream keeps its length.
+    ``(prev_phi_bar, True)`` so that the stream keeps its length.  The
+    arctangent is numpy's, the one :func:`settle_tilt` takes over columns.
     """
     num = ax_bar + a_e + a_t_x
     den = ay_bar + a_c - a_t_y
     if num == 0.0 and den == 0.0:
         return prev_phi_bar, True
-    phi = degrees(atan2(num, den))
+    phi = degrees(np.arctan2(num, den))
     return (phi + 360.0 if phi <= -180.0 else phi), False
 
 
@@ -216,7 +221,7 @@ def motion_terms(rate_bar, enc_count, state, params):
     v_t = encoder_velocity(enc_count, params.N_drive, params.R_w, params.dt)
     v_f = lowpass_step(v_t, state.prev_v_filtered, params.T_v, params.dt)
     a_t = discrete_derivative(v_f, state.prev_v_filtered, params.dt)
-    a_t_x, a_t_y = project_translational(a_t, state.prev_phi_bar)
+    a_t_x, a_t_y = map(float, project_translational(a_t, state.prev_phi_bar))
     rate_r = _to_rad(rate_bar)
     rate_f = lowpass_step(rate_r, state.prev_rate_filtered, params.T_omega, params.dt)
     a_c, a_e = angular_terms(rate_r, rate_f, state.prev_rate_filtered, params)
@@ -281,36 +286,77 @@ def motion_columns(rate_bar, pulses, params):
     return a_c, a_e, a_t
 
 
+# Rows per sweep block, and passes per block before the rest of the block
+# is finished one row at a time.  Blocks keep the passes' temporaries small.
+SWEEP_ROWS = 4096
+SWEEP_PASSES = 32
+
+
+def _tilt_rows(step, prev, start, stop):
+    """One pass over rows start..stop after the tilts ``prev``:
+    ``(phi, degenerate, extra columns)`` by the rule of :func:`tilt_or_previous`."""
+    num, den, *extra = step(prev, start, stop)
+    degenerate = (num == 0.0) & (den == 0.0)
+    phi = np.degrees(np.arctan2(num, den))
+    # A where, not +=, so that -0.0 keeps its sign.
+    phi = np.where(phi <= -180.0, phi + 360.0, phi)
+    return np.where(degenerate, prev, phi), degenerate, extra
+
+
+def settle_tilt(step, n, extras):
+    """The tilt feedback phi_k = F_k(phi_{k-1}) over n rows, in numpy passes.
+
+    ``step(prev, start, stop)`` returns ``num``, ``den`` and ``extras``
+    more columns for rows start..stop, given their previous tilts ``prev``.
+    Returns ``(phi, degenerate, extra)``, ``extra`` of shape (extras, n).
+    Each block of SWEEP_ROWS rows starts from the last settled tilt (the
+    vertical prior before row 0) and repeats phi <- F(shift(phi)).  A pass
+    that leaves its first m rows unchanged has its first m + 1 rows exact,
+    so one that changes no bit is the sequential loop's answer.  After
+    SWEEP_PASSES passes the block is finished row by row with ``step``.
+    """
+    phi, extra = np.empty(n), np.empty((extras, n))
+    degenerate = np.empty(n, dtype=bool)
+    last = CorrectionState.prev_phi_bar
+    for start in range(0, n, SWEEP_ROWS):
+        stop = min(start + SWEEP_ROWS, n)
+        cur, prev = np.full(stop - start, last), np.empty(stop - start)
+        for _ in range(SWEEP_PASSES):
+            prev[0], prev[1:] = last, cur[:-1]
+            new, flat, cols = _tilt_rows(step, prev, start, stop)
+            changed = np.flatnonzero(new.view(np.int64) != cur.view(np.int64))
+            cur = new
+            if not changed.size:
+                break
+        phi[start:stop], degenerate[start:stop], extra[:, start:stop] = cur, flat, cols
+        # At the pass cap, rows up to the first one the last pass changed
+        # are exact.
+        for k in range(start + changed[0] + 1 if changed.size else stop, stop):
+            phi[k:k + 1], degenerate[k:k + 1], extra[:, k:k + 1] = _tilt_rows(
+                step, phi[k - 1:k], k, k + 1)
+        last = phi[stop - 1]
+    return phi, degenerate, extra
+
+
 def correct_columns(log, params):
     """Whole-log correction kernel; returns ``CorrectedColumns``.  ``log``
     needs array attributes like :class:`tiltkit.logio.RawLog`.  The tilt
-    feedback runs :func:`project_translational` and
-    :func:`tilt_or_previous` inline over plain floats."""
+    feedback is :func:`settle_tilt` over the column forms of
+    :func:`project_translational` and :func:`tilt_or_previous`."""
     rate_bar = correct_gyro(log.gyro_dps, params.gyro_bias)
     n = len(rate_bar)
     if n == 0:
         return CorrectedColumns(*np.empty((7, 0)), np.empty(0, dtype=bool))
-    ax_bar = correct_accel(log.acc_x_mps2, params.accel_bias_x, params.scale_poly_x)
-    ay_bar = correct_accel(log.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
     a_c, a_e, a_t = motion_columns(rate_bar, np.where(log.enc_missing, 0, log.enc_count),
                                    params)
+    num0 = correct_accel(log.acc_x_mps2, params.accel_bias_x, params.scale_poly_x) + a_e
+    den0 = correct_accel(log.acc_y_mps2, params.accel_bias_y, params.scale_poly_y) + a_c
 
-    phi_bar, a_t_x, a_t_y = np.zeros((3, n))
-    degenerate = np.zeros(n, dtype=bool)
-    phi = CorrectionState.prev_phi_bar  # the vertical prior before sample 0
-    phi_out, tx_out, ty_out = map(memoryview, (phi_bar, a_t_x, a_t_y))
-    columns = map(memoryview, (ax_bar, ay_bar, a_e, a_c, a_t))
-    for k, ax, ay, e, c, t in zip(count(), *columns):
-        prev = phi * pi / 180.0
-        tx_out[k] = tx = t * cos(prev)
-        ty_out[k] = ty = t * sin(prev)
-        num, den = ax + e + tx, ay + c - ty
-        if num == 0.0 and den == 0.0:
-            degenerate[k] = True
-        else:
-            phi = degrees(atan2(num, den))
-            phi = phi + 360.0 if phi <= -180.0 else phi
-        phi_out[k] = phi
+    def step(prev, start, stop):
+        tx, ty = project_translational(a_t[start:stop], prev)
+        return num0[start:stop] + tx, den0[start:stop] - ty, tx, ty
+
+    phi_bar, degenerate, (a_t_x, a_t_y) = settle_tilt(step, n, 2)
     return CorrectedColumns(phi_bar, rate_bar, a_c, a_e, a_t, a_t_x, a_t_y, degenerate)
 
 

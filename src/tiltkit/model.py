@@ -10,8 +10,11 @@ Invertibility contract: the accelerometer channels embed exactly the
 motion-induced interference that the correction chain will reconstruct.
 The shadow chain is the correction kernel's own motion pre-pass
 (:func:`tiltkit.correction.motion_columns`) on the generated gyro and
-encoder columns, plus a shadow tilt advanced with the chain's projection
-and tilt helpers from the chain's vertical prior, sample 0 included.
+encoder columns, plus a shadow tilt settled by the kernel's own tilt sweep
+(:func:`tiltkit.correction.settle_tilt`) from the chain's vertical prior,
+sample 0 included: each pass synthesises the accelerometer columns from
+the projection on the previous shadow tilts and takes the corrector's
+arctangent of them.
 Correcting a noise-free log with matching parameters therefore recovers
 the true tilt at every sample to floating-point precision when the scale
 polynomials are zero, and up to the small scale-factor inversion residual
@@ -28,18 +31,21 @@ independent runs (distinct seeds) can execute concurrently.
 """
 
 from dataclasses import dataclass, field
-from math import cos, floor, inf, isfinite, pi, radians, sin
+from math import floor, inf, isfinite, pi, sin
 from typing import Callable
 
 import numpy as np
 
-from .correction import (CorrectionState, correct_accel, correct_gyro, motion_columns,
-                         project_translational, scale_factor, tilt_or_previous)
+from .correction import (correct_accel, correct_gyro, motion_columns, project_translational,
+                         scale_factor, settle_tilt)
 # Unused here; kept importable because per-module tracers patch them on model.
 from .correction import correction_pipeline_step, motion_terms  # noqa: F401
 from .errors import ParameterError, SimulationError
 from .logio import RawLog, TruthLog
 from .reference import ACCEL_SATURATION_MPS2, GRAVITY, GYRO_SATURATION_DPS
+
+# The most samples one run may take, refused before anything is allocated.
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,12 @@ def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
     Inverts the corrected-tilt equation: the x' channel reads the gravity
     projection minus the terms the correction later adds back, the y'
     channel the gravity projection minus the centrifugal term plus the
-    translational projection.
+    translational projection.  Takes floats or float64 columns; numpy's
+    sine, cosine and degree conversion return math's values bit for bit.
     """
-    phi_r = radians(phi_deg)
-    ax = GRAVITY * sin(phi_r) - a_e - a_t_x
-    ay = GRAVITY * cos(phi_r) - a_c + a_t_y
+    phi_r = np.radians(phi_deg)
+    ax = GRAVITY * np.sin(phi_r) - a_e - a_t_x
+    ay = GRAVITY * np.cos(phi_r) - a_c + a_t_y
     return ax, ay
 
 
@@ -167,20 +174,23 @@ def simulate_run(profile, gyro, accel, params, seed):
     Encoder counts are the integer part of the accumulated fractional pulse
     count implied by wheel travel, with the residual carried to the next
     sample so no pulse is ever lost.  The truth and the encoder advance
-    first, then the gyro column; the accelerometer loop embeds the motion
-    pre-pass terms and the projection on the shadow tilt.  The first sample
+    first, then the gyro column; the accelerometer columns, which embed the
+    motion pre-pass terms and the projection on the shadow tilt, come from
+    the tilt sweep, which makes no Python call per sample.  The first sample
     embeds no motion terms, as the pre-pass holds zeros there.  A negative
-    ``seed``, which ``default_rng`` cannot take, raises ParameterError.
+    ``seed``, which ``default_rng`` cannot take, or a run of more than
+    :data:`MAX_SAMPLES` samples raises ParameterError.
     """
     if not seed >= 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     dt = profile.dt
     n = profile.n_samples
+    if n > MAX_SAMPLES:
+        raise ParameterError(f"duration / dt is {n} samples, more than the cap of {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
 
     # Truth columns in TruthLog order after t: phi, phi_dot, phi_ddot, x, v, a_t.
     truth_cols = np.empty((6, n))
-    acc_x_arr, acc_y_arr = np.empty((2, n))
     enc_arr = np.empty(n, dtype=np.int64)
 
     # The truth advances on plain floats, stored through memoryviews.
@@ -229,27 +239,26 @@ def simulate_run(profile, gyro, accel, params, seed):
 
     # Interference terms exactly as the corrector will reconstruct them.
     a_c, a_e, a_t = motion_columns(correct_gyro(gyro_arr, params.gyro_bias), enc_arr, params)
-    # Memoryviews hand out and take plain floats, cheaper than ndarray items.
-    ax_out, ay_out = memoryview(acc_x_arr), memoryview(acc_y_arr)
-    columns = zip(*map(memoryview, (truth_cols[0], a_c, a_e, a_t, noise_x, noise_y)))
-    # The shadow starts from the corrector's vertical prior; a_t is zero at
-    # sample 0, so the projection embeds exact zeros there.
-    phi_bar = CorrectionState.prev_phi_bar
     sat = accel.saturation
-    for k, (phi, a_c_k, a_e_k, a_t_k, nx, ny) in enumerate(columns):
-        a_t_x, a_t_y = project_translational(a_t_k, phi_bar)
-        ax, ay = true_accel_components(phi, a_e_k, a_c_k, a_t_x, a_t_y)
+
+    def step(prev, start, stop):
+        rows = slice(start, stop)
+        a_t_x, a_t_y = project_translational(a_t[rows], prev)
+        ax, ay = true_accel_components(truth_cols[0, rows], a_e[rows], a_c[rows], a_t_x, a_t_y)
         # Forward scale-factor distortion evaluates the polynomial at the true
         # component; the correction side evaluates it at measurement - bias.
-        ax = ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + nx
-        ay = ay + scale_factor(ay, accel.scale_poly_y) + accel.bias_y + ny
-        ax_out[k] = ax = sat if ax > sat else -sat if ax < -sat else ax
-        ay_out[k] = ay = sat if ay > sat else -sat if ay < -sat else ay
-        # Advance the shadow tilt exactly as the corrector will.
-        phi_bar, _ = tilt_or_previous(
-            correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
-            correct_accel(ay, params.accel_bias_y, params.scale_poly_y),
-            a_e_k, a_c_k, a_t_x, a_t_y, phi_bar)
+        ax = ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + noise_x[rows]
+        ay = ay + scale_factor(ay, accel.scale_poly_y) + accel.bias_y + noise_y[rows]
+        np.clip(ax, -sat, sat, out=ax)
+        np.clip(ay, -sat, sat, out=ay)
+        # The shadow tilt's arctangent arguments, exactly as the corrector's.
+        return (correct_accel(ax, params.accel_bias_x, params.scale_poly_x) + a_e[rows] + a_t_x,
+                correct_accel(ay, params.accel_bias_y, params.scale_poly_y) + a_c[rows] - a_t_y,
+                ax, ay)
+
+    # The shadow starts from the corrector's vertical prior; a_t is zero at
+    # sample 0, so the projection embeds exact zeros there.
+    acc_x_arr, acc_y_arr = settle_tilt(step, n, 2)[2]
 
     t_arr = np.arange(n) * dt
     truth = TruthLog(t_arr, *truth_cols)

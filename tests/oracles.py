@@ -4,9 +4,11 @@ The two-phase functions write out each variant's predict/correct equations
 directly; the textbook Kalman filter is a plain matrix-form implementation;
 the unrolled fixed-gain loops keep one recurrence per variant, each with
 its own term order; the generator-driven Kalman loop draws each step's
-gain from ``_kalman_gains``; the shadow simulator writes out its own
-kinematics and sensor models, generates one sample at a time and runs the
-streaming correction step on each; the row-wise CSV writers
+gain from ``_kalman_gains``; the looped tilt feedbacks advance the
+corrector's and the simulator's tilt one sample at a time over plain
+floats, where the package settles it in block sweeps; the shadow simulator
+writes out its own kinematics and sensor models, generates one sample at a
+time and runs the streaming correction step on each; the row-wise CSV writers
 format one row at a time, through ``csv.writer`` for the logs; the
 row-wise CSV readers parse one field at a time with ``float``/``int``
 into growable ``array.array`` columns.  All stay deliberately separate
@@ -174,6 +176,67 @@ def generator_run_kalman(spec, phi_bar, rate_bar):
         x2 = x2 + k2 * resid
         out[k] = x1
     return out
+
+
+def looped_correct_columns(log, params):
+    """``correct_columns`` with its tilt feedback as a sequential loop over
+    plain floats, the projection and the tilt rule written inline."""
+    from math import cos, degrees, pi, sin
+
+    from tiltkit.correction import (CorrectedColumns, correct_accel, correct_gyro,
+                                    motion_columns)
+
+    rate_bar = correct_gyro(log.gyro_dps, params.gyro_bias)
+    n = len(rate_bar)
+    ax_bar = correct_accel(log.acc_x_mps2, params.accel_bias_x, params.scale_poly_x)
+    ay_bar = correct_accel(log.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
+    a_c, a_e, a_t = motion_columns(rate_bar, np.where(log.enc_missing, 0, log.enc_count),
+                                   params)
+    phi_bar, a_t_x, a_t_y = np.zeros((3, n))
+    degenerate = np.zeros(n, dtype=bool)
+    phi = 0.0  # the vertical prior
+    columns = zip(*(c.tolist() for c in (ax_bar, ay_bar, a_e, a_c, a_t)))
+    for k, (ax, ay, e, c, t) in enumerate(columns):
+        prev = phi * pi / 180.0
+        a_t_x[k] = tx = t * cos(prev)
+        a_t_y[k] = ty = t * sin(prev)
+        num, den = ax + e + tx, ay + c - ty
+        if num == 0.0 and den == 0.0:
+            degenerate[k] = True
+        else:
+            phi = degrees(np.arctan2(num, den))
+            phi = phi + 360.0 if phi <= -180.0 else phi
+        phi_bar[k] = phi
+    return CorrectedColumns(phi_bar, rate_bar, a_c, a_e, a_t, a_t_x, a_t_y, degenerate)
+
+
+def looped_accel_columns(phi_deg, a_c, a_e, a_t, noise_x, noise_y, accel, params):
+    """The simulator's accelerometer columns ``(acc_x, acc_y)`` from the true
+    tilt, the motion pre-pass terms and the accelerometer noise, with the
+    shadow tilt advanced one sample at a time by ``tilt_or_previous``."""
+    from math import cos, pi, radians, sin
+
+    from tiltkit.correction import correct_accel, scale_factor, tilt_or_previous
+    from tiltkit.reference import GRAVITY
+
+    def clamp(value):
+        return min(max(value, -accel.saturation), accel.saturation)
+
+    acc_x, acc_y = np.empty((2, len(phi_deg)))
+    phi_bar = 0.0  # the corrector's vertical prior
+    columns = zip(*(c.tolist() for c in (phi_deg, a_c, a_e, a_t, noise_x, noise_y)))
+    for k, (phi, c, e, t, nx, ny) in enumerate(columns):
+        prev = phi_bar * pi / 180.0
+        tx, ty = t * cos(prev), t * sin(prev)
+        phi_r = radians(phi)
+        ax = GRAVITY * sin(phi_r) - e - tx
+        ay = GRAVITY * cos(phi_r) - c + ty
+        acc_x[k] = ax = clamp(ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + nx)
+        acc_y[k] = ay = clamp(ay + scale_factor(ay, accel.scale_poly_y) + accel.bias_y + ny)
+        phi_bar, _ = tilt_or_previous(
+            correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
+            correct_accel(ay, params.accel_bias_y, params.scale_poly_y), e, c, tx, ty, phi_bar)
+    return acc_x, acc_y
 
 
 def shadow_simulate_run(profile, gyro, accel, params, seed):

@@ -14,6 +14,7 @@ from tiltkit.correction import run_correction
 from tiltkit.filters import PARAMS, make_filter, run_filter
 from tiltkit.errors import ParseError
 from tiltkit.logio import parse_log, read_columns, write_columns, write_log, RawLog
+from tiltkit.model import MAX_SAMPLES
 
 
 class TestAccumulateReference:
@@ -286,6 +287,8 @@ class TestCommands:
          "duration must be finite and at least one sample period, got nan"),
         ("simulate", {}, ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("tune", {}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("simulate", {"duration_s": (MAX_SAMPLES + 1.5) * 0.01}, [],
+         f"duration / dt is {MAX_SAMPLES + 1} samples, more than the cap of {MAX_SAMPLES}"),
     ])
     def test_unusable_duration_or_seed_exit_4(self, tmp_path, capsys, command, overrides,
                                               argv, message):
@@ -327,6 +330,27 @@ class TestCommands:
         assert main(argv + flag.split()) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    # A flag's prefix is not the flag: each of these ran as the full flag.
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--se 3"), ("simulate", "--dt 10"), ("run", "--deb"), ("run", "--var wb"),
+        ("tune", "--var wb"), ("eval", "--tr x.csv"), ("spectrum", "--chan gyro_dps"),
+    ])
+    def test_flag_prefix_exit_2(self, tmp_path, capsys, command, flag):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command != "simulate":
+            argv += ["--log", "x.csv"]
+        capsys.readouterr()
+        assert main(argv + flag.split()) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_prefix_exit_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["simulate", "--conf", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["calibrate", "tune", "run", "eval", "spectrum"])
     def test_missing_log_exit_2(self, tmp_path, capsys, command):

@@ -471,9 +471,11 @@ class TestParamsValidation:
 
 
 def test_kernel_makes_no_python_call_per_sample(dynamic_run_clean):
-    # The low-passes and the tilt feedback loop over plain floats: a
-    # whole-log correction makes a fixed number of Python calls (numpy's
-    # own and the elementwise helpers), the same for 20 or 2,000 samples.
+    # The low-passes loop over plain floats and the tilt feedback is
+    # settled in whole-column passes: a whole-log correction makes a fixed
+    # number of Python calls (numpy's own, the elementwise helpers and the
+    # sweep's step once per pass), the same for 20 or 2,000 samples, which
+    # both settle in one block of the same number of passes.
     _, log, params = dynamic_run_clean
     n, fixed = 2000, 100
     kernel = partial(correct_columns, params=params)

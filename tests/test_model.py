@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tiltkit.correction import run_correction_arrays
 from tiltkit.errors import ParameterError, SimulationError
 from tiltkit.logio import TruthLog
 from tiltkit.model import (
+    MAX_SAMPLES,
     AccelErrorModel,
     GyroErrorModel,
     MotionProfile,
@@ -189,10 +191,10 @@ class TestSimulateRun:
 
     def test_python_calls_per_sample(self):
         # Per sample, the truth loop calls the two profile drives and two
-        # Euler steps; the accelerometer loop calls the projection (with
-        # its degree conversion), true_accel_components, scale_factor for
-        # each axis and the shadow tilt with its two correct_accel calls
-        # (one scale_factor each): 14 in all.  The rest is a fixed cost.
+        # Euler steps: 4.  The accelerometer columns come from the tilt
+        # sweep, whose Python calls are per pass and per block, a few
+        # dozen per pass and a handful of passes per block, so the two run
+        # lengths may differ by some passes but not by a call per sample.
         params = rig_params(with_errors=True)
         gyro, accel = rig_models(True, 0.17, 0.1)
 
@@ -200,9 +202,22 @@ class TestSimulateRun:
             profile = default_dynamic_profile(n * params.dt, params.dt)
             return simulate_run(profile, gyro, accel, params, 3)
 
-        n = 500
-        per_sample = (_python_calls(simulate, 2 * n) - _python_calls(simulate, n)) / n
-        assert per_sample == int(per_sample) <= 14
+        n = 1000
+        assert abs(_python_calls(simulate, 2 * n) - _python_calls(simulate, n) - 4 * n) < n / 4
+
+    def test_sample_cap_refused_before_allocating(self):
+        dt = 0.01
+        profile = MotionProfile((MAX_SAMPLES + 1.5) * dt, dt)
+        assert profile.n_samples == MAX_SAMPLES + 1
+        params = rig_params(with_errors=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"more than the cap of {MAX_SAMPLES}"):
+                simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @staticmethod
     def _assert_bit_identical(profile, gyro, accel, params, seed):
