@@ -2,9 +2,10 @@
 # Console-script smoke test: run the tiltkit executable given as $1 through a
 # 1 s simulate -> run -> eval chain with the 10 ms wb reference tuning, then
 # calibrate and spectrum on the simulated log, in a fresh temporary
-# directory outside the checkout.  tune needs a ref_count column, which
-# simulate does not write.  A flag the command does not read, and the prefix
-# of one it does, must be a usage error (exit 2).
+# directory outside the checkout.  simulate's log.csv must start with the
+# 5-column header: it has no reference channel, so no ref_count column, and
+# tune, which needs one, is not run.  A flag the command does not read, and
+# the prefix of one it does, must be a usage error (exit 2).
 #
 #   bash .github/cli_smoke.sh "$(command -v tiltkit)"
 set -euo pipefail
@@ -12,6 +13,11 @@ tiltkit="$1"
 cd "$(mktemp -d)"
 printf 'dt_ms=10\nN_drive=2000\nduration_s=1\nseed=1\nvariant=wb\nalpha=0.0008\nbeta=0.0\n' > run.cfg
 "$tiltkit" simulate --config run.cfg --out out
+header="$(head -n 1 out/log.csv | tr -d '\r')"
+if [ "$header" != "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count" ]; then
+  echo "simulate's log.csv starts with '$header', want the 5-column header"
+  exit 1
+fi
 "$tiltkit" run --config run.cfg --out out --log out/log.csv
 "$tiltkit" eval --config run.cfg --out out --log out/estimate.csv --truth out/truth.csv
 "$tiltkit" calibrate --config run.cfg --out out --log out/log.csv

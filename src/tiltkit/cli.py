@@ -13,10 +13,11 @@ lists for it, and any other flag, like a missing --log, is a usage error::
     eval       MSE between an estimate column and a reference column
     spectrum   magnitude spectrum of one log column
 
-run, tune and spectrum (given a t column) refuse a log sampled at another
-period than the configured one.  Every command echoes the resolved
-configuration and seed, writes artifacts into --out, and never embeds
-timestamps, so identical inputs produce byte-identical outputs.
+run, tune and spectrum (given a t column) refuse a log whose t does not
+increase or is sampled at another period than the configured one.  Every
+command echoes the resolved configuration and seed, writes artifacts into
+--out, and never embeds timestamps, so identical inputs produce
+byte-identical outputs.
 
 Exit codes: 0 ok, 2 usage, 3 parse, 4 numeric/contract, 5 optimization
 failure.

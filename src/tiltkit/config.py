@@ -172,12 +172,18 @@ def load_config(path):
 
 
 def check_dt_matches(config, t):
-    """Raise :class:`ConfigError` when the median step of the timestamp
-    column ``t`` disagrees with the configured sample period (relative
-    tolerance 1e-6)."""
+    """Raise :class:`ConfigError` when the timestamp column ``t`` does not
+    increase at every sample, or when its median step disagrees with the
+    configured sample period (relative tolerance 1e-6)."""
     if len(t) < 2:
         raise ParameterError("cannot infer dt from fewer than two samples")
-    log_dt = float(np.median(np.diff(t)))
+    steps = np.diff(t)
+    bad = np.flatnonzero(~(steps > 0))
+    if bad.size:
+        k = bad[0] + 1
+        raise ConfigError(f"t does not increase at sample {k}: "
+                          f"{float(t[k])!r} after {float(t[k - 1])!r}")
+    log_dt = float(np.median(steps))
     if abs(log_dt - config.dt) > 1e-6 * max(log_dt, config.dt):
         raise ConfigError(
             f"configured dt is {config.dt} s but the log is sampled at "

@@ -9,9 +9,12 @@ CSV layout (fixed header, decimal point, no locale formatting)::
 
     t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count
 
-``ref_count`` (reference-encoder pulses) is optional: the column may be
-absent entirely or individual fields may be empty.  An empty ``enc_count``
-field is accepted and flagged; it is treated as zero pulses downstream.
+``ref_count`` (reference-encoder pulses) is optional: :func:`write_log`
+writes the column only for a log that has the reference channel, and a file
+without it has the 5-column header.  A ``ref_count`` field may be empty; a
+column that is empty on every row reads as no channel.  An empty
+``enc_count`` field is accepted and flagged; it is treated as zero pulses
+downstream.
 Floats are written with ``repr`` so a written file re-parses bit-exactly.
 Every writer goes through :func:`write_columns`.  Rows of ``log.csv`` and
 ``truth.csv`` (:func:`write_log`, :func:`write_truth`) end in CRLF, the
@@ -20,7 +23,6 @@ Every writer goes through :func:`write_columns`.  Rows of ``log.csv`` and
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import inf, isfinite, nan
 from typing import Optional
 
@@ -136,25 +138,6 @@ def _number(text, kind=float):
     return kind(text)
 
 
-def _blank_attempts(path, ncols):
-    """The column sets to give converters for empty fields, one per read to
-    try: none; where a byte scan finds empty fields (all columns, or the last
-    if only last fields are); all, for whitespace-only or quoted ones."""
-    yield set()
-    inner = last = False
-    with open(path, "rb") as fh:
-        tail = b"\n"
-        while block := fh.read(1 << 16):
-            byte = np.frombuffer(tail + block, np.uint8)
-            comma, end = byte == ord(","), (byte == ord("\n")) | (byte == ord("\r"))
-            inner = inner or bool((comma[1:] & (comma | end)[:-1]).any())
-            last = last or bool((comma[:-1] & end[1:]).any())
-            tail = block[-1:]
-    if not inner and (last or tail == b",") and ncols > 1:
-        yield {ncols - 1}
-    yield set(range(ncols))
-
-
 def _blank_field(kind, flags):
     """A converter for a column whose fields may be empty: an empty field
     reads as 0 or NaN, and ``flags`` gets one "was empty" bool per row."""
@@ -181,8 +164,11 @@ def _read_rows(path, log=False):
         name = next(h for c, h in enumerate(header) if h in header[:c])
         raise ParseError(f"header repeats the column name {name!r}", line=1, column=name)
     dtype = np.dtype([(n, np.int64 if n in _COUNTS else float) for n in header] if log else float)
-    for columns in _blank_attempts(path, len(header)):
-        flags = {c: [] for c in columns if not log or header[c] in _COUNTS}
+    # A read without converters; if it fails, one with a converter on every
+    # column whose fields may be empty: the counts of a log, any column else.
+    blank = {c for c, n in enumerate(header) if not log or n in _COUNTS}
+    for columns in (set(), blank):
+        flags = {c: [] for c in columns}
         try:
             with open(path, newline="") as fh, warnings.catch_warnings():
                 next(csv.reader(fh))
@@ -207,7 +193,7 @@ def parse_log(path):
     if (not all(np.isfinite(rows[name]).all() for name in header[:4])
             or (np.diff(rows["t"]) <= 0).any()):
         _raise_first_bad_field(path, header, log=True)
-    # As write_log writes it: no ref_count when no field holds one.
+    # A 6-column log whose ref_count is empty on every row has no channel.
     ref_given = len(header) == 6 and len(rows) and not all(flags.get(5, [False]))
     return RawLog(*(np.ascontiguousarray(rows[name]) for name in header[:5]),
                   np.ascontiguousarray(rows["ref_count"]) if ref_given else None,
@@ -221,8 +207,6 @@ BLOCK_ROWS = 4096
 
 def _block_fields(column, start, stop):
     """Fields of rows start..stop of one :func:`write_columns` column."""
-    if column is None:
-        return repeat("", stop - start)
     if isinstance(column, tuple):
         values, blank = column
         fields = list(map(repr, values[start:stop].tolist()))
@@ -236,16 +220,15 @@ def write_columns(path, header, columns, line_end="\n"):
     """Write equal-length numpy columns as CSV rows ending in ``line_end``.
 
     A field is the ``repr`` of the column's Python value: floats re-parse
-    bit-exactly, ints print as digits.  A ``None`` column is empty on every
-    row, and a ``(values, blank)`` pair is empty where the boolean array
-    ``blank`` is set.  The first column must be an array; it fixes the
-    row count, and a column of another length is a :class:`ParameterError`
-    raised before the file is opened.  Rows are formatted
-    :data:`BLOCK_ROWS` at a time.
+    bit-exactly, ints print as digits.  A ``(values, blank)`` pair is empty
+    where the boolean array ``blank`` is set.  The first column must be an
+    array; it fixes the row count, and a column of another length is a
+    :class:`ParameterError` raised before the file is opened.  Rows are
+    formatted :data:`BLOCK_ROWS` at a time.
     """
     n = len(columns[0])
     for name, column in zip(header, columns):
-        for part in (() if column is None else column if isinstance(column, tuple) else (column,)):
+        for part in (column if isinstance(column, tuple) else (column,)):
             if len(part) != n:
                 raise ParameterError(f"column {name} has {len(part)} rows, {header[0]} has {n}")
     with open(path, "w", newline="") as fh:
@@ -256,18 +239,20 @@ def write_columns(path, header, columns, line_end="\n"):
 
 
 def write_log(path, log):
-    """Write a :class:`RawLog` as CSV.  A non-finite ``t``, gyro or
-    acceleration value, which :func:`parse_log` would refuse, is a
-    :class:`ParameterError` naming its column and first row, raised before
-    the file is opened."""
+    """Write a :class:`RawLog` as CSV, with the ``ref_count`` column only
+    when the log has one.  A non-finite ``t``, gyro or acceleration value,
+    which :func:`parse_log` would refuse, is a :class:`ParameterError`
+    naming its column and first row, raised before the file is opened."""
     for name in CSV_HEADER[:4]:
         column = getattr(log, name)
         bad = np.flatnonzero(~np.isfinite(column))
         if bad.size:
             raise ParameterError(f"column {name} row {bad[0]} is {column[bad[0]]}, not finite")
-    write_columns(path, CSV_HEADER,
-                  (log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
-                   (log.enc_count, log.enc_missing), log.ref_count), "\r\n")
+    columns = [log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
+               (log.enc_count, log.enc_missing)]
+    if log.ref_count is not None:
+        columns.append(log.ref_count)
+    write_columns(path, CSV_HEADER[:len(columns)], columns, "\r\n")
 
 
 def write_truth(path, truth):
@@ -283,7 +268,8 @@ def read_columns(path):
     for a field that is not a number or is a non-finite one, and on line 1
     for a header that repeats a column name.  Used by the
     ``eval`` and ``spectrum`` commands and by round-trip tests.  Parsed as
-    :func:`parse_log` is, with converters only where fields are empty.
+    :func:`parse_log` is; a file with an empty field is read again with a
+    converter on every column.
     """
     header, rows, flags = _read_rows(path)
     if not len(rows):

@@ -86,12 +86,15 @@ class OptResult:
     converged: bool
 
 
+def _simplex_steps(x, scale):
+    """Simplex step per coordinate: ``scale*|x_i|``, or ``scale*0.01`` at zero."""
+    return scale * np.where(x == 0.0, 0.01, np.abs(x))
+
+
 def _initial_simplex(x0, scale):
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        step = scale * abs(x0[i]) if x0[i] != 0.0 else scale * 0.01
-        sim[i + 1, i] += step
+    sim[np.arange(1, n + 1), np.arange(n)] += _simplex_steps(x0, scale)  # the diagonal only
     return sim
 
 
@@ -167,8 +170,7 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig):
                 best = OptResult(x=x, fun=float(fun), iterations=iterations,
                                  converged=converged)
         anchor = x0 if best is None else best.x
-        steps = np.array([cfg.initial_scale * (abs(v) if v != 0.0 else 0.01)
-                          for v in anchor])
+        steps = _simplex_steps(anchor, cfg.initial_scale)
         start = anchor + rng.uniform(-0.5, 0.5, len(anchor)) * steps
 
     if best is None:

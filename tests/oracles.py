@@ -331,13 +331,13 @@ def shadow_simulate_run(profile, gyro, accel, params, seed):
 
 
 def rowwise_write_log(path, log):
-    """Row-at-a-time writer of a RawLog."""
+    """Row-at-a-time writer of a RawLog; no ref_count column when it has none."""
     from tiltkit.logio import CSV_HEADER
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
         ref = log.ref_count
+        writer.writerow(CSV_HEADER if ref is not None else CSV_HEADER[:5])
         for k in range(len(log)):
             writer.writerow([
                 repr(float(log.t[k])),
@@ -345,8 +345,7 @@ def rowwise_write_log(path, log):
                 repr(float(log.acc_x_mps2[k])),
                 repr(float(log.acc_y_mps2[k])),
                 "" if log.enc_missing[k] else int(log.enc_count[k]),
-                int(ref[k]) if ref is not None else "",
-            ])
+            ] + ([int(ref[k])] if ref is not None else []))
 
 
 def rowwise_write_truth(path, truth):

@@ -390,6 +390,44 @@ class TestCommands:
                      "--log", str(no_t), "--dt-ms", "2"]) == 0
         assert read_columns(tmp_path / "sp" / "spectrum.csv")["frequency_hz"][-1] == 250.0
 
+    def test_spectrum_t_not_increasing_exit_4(self, tmp_path, capsys):
+        # one swapped pair of timestamps leaves the median step at dt
+        cfg_path, _ = write_config(tmp_path, duration_s=0.1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "log.csv").read_text().splitlines()]
+        rows[5][0], rows[6][0] = rows[6][0], rows[5][0]  # samples 4 and 5
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        argv = ["--config", str(cfg_path), "--log", str(swapped)]
+        assert main(["spectrum", "--out", str(tmp_path / "sp")] + argv) == EXIT_CONTRACT
+        assert "t does not increase at sample 5: 0.04 after 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "sp").exists()
+        assert main(["run", "--out", str(tmp_path / "est")] + argv) == 3
+        assert "t=0.04 does not increase past 0.05 (line 7, column t)" in capsys.readouterr().err
+
+    def test_log_with_empty_ref_count_column_reads_as_without_it(self, tmp_path, capsys):
+        # a 6-column log whose ref_count is empty on every row, as simulate
+        # once wrote it, has no reference channel
+        cfg_path, _ = write_config(tmp_path, gyro_noise_std_dps=0.17,
+                                   accel_noise_std_mps2=0.1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "log.csv").read_bytes().split(b"\r\n")[:-1]
+        assert lines[0] == b"t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count"
+        legacy = tmp_path / "legacy.csv"
+        legacy.write_bytes(b"".join(line + (b",ref_count" if k == 0 else b",") + b"\r\n"
+                                    for k, line in enumerate(lines)))
+        for log, dest in ((out / "log.csv", tmp_path / "five"), (legacy, tmp_path / "six")):
+            argv = ["--config", str(cfg_path), "--out", str(dest), "--log", str(log)]
+            assert main(["run"] + argv) == 0
+            assert main(["spectrum"] + argv) == 0
+            assert main(["calibrate"] + argv) == 0
+            assert "static stage only" in (dest / "calibration.cfg").read_text()
+        for name in ("estimate.csv", "spectrum.csv", "calibration.cfg"):
+            assert (tmp_path / "five" / name).read_bytes() == (tmp_path / "six" / name).read_bytes()
+
     def test_usage_error_exit_2(self):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
@@ -477,15 +515,14 @@ class TestCommands:
                                        "--ref-column", "gyro_dps"],
                                       ["spectrum", "--channel", "ref_count"]])
     def test_simulated_log_without_reference_counts_exit_4(self, tmp_path, capsys, argv):
-        # simulate writes ref_count as an empty field on every row
+        # simulate writes no ref_count column
         cfg_path, _ = write_config(tmp_path, duration_s=0.1)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg_path), "--log", str(out / "log.csv"),
                             "--out", str(tmp_path / "scored")]) == EXIT_CONTRACT
-        err = capsys.readouterr().err
-        assert "column 'ref_count'" in err and "empty field on line 2" in err
+        assert f"column 'ref_count' not in {out / 'log.csv'}" in capsys.readouterr().err
         assert not (tmp_path / "scored").exists()
 
     def test_calibrate_static(self, tmp_path, capsys):

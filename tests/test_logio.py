@@ -267,8 +267,7 @@ def test_spectrum_rows_match_rowwise_writer(tmp_path, n):
     ([np.arange(3.0), np.arange(2.0)], "column b has 2 rows, a has 3"),
     ([np.arange(2.0), np.arange(3.0)], "column b has 3 rows, a has 2"),
     ([np.arange(2.0), (np.arange(2.0), np.zeros(3, dtype=bool))], "column b has 3 rows"),
-    ([np.arange(2.0), None, np.arange(1.0)], "column c has 1 rows, a has 2"),
-], ids=["shorter", "longer", "blank_flags", "after_none"])
+], ids=["shorter", "longer", "blank_flags"])
 def test_write_columns_refuses_unequal_lengths(tmp_path, columns, message):
     path = tmp_path / "out.csv"
     with pytest.raises(ParameterError, match=message):
