@@ -5,7 +5,9 @@
 # directory outside the checkout.  simulate's log.csv must start with the
 # 5-column header: it has no reference channel, so no ref_count column, and
 # tune, which needs one, is not run.  A flag the command does not read, and
-# the prefix of one it does, must be a usage error (exit 2).
+# the prefix of one it does, must be a usage error (exit 2).  A run whose
+# estimates overflow to inf (alpha=1e300) and a simulation whose sensor
+# columns do (gyro_bias_dps=1e300) must exit 4 and write nothing.
 #
 #   bash .github/cli_smoke.sh "$(command -v tiltkit)"
 set -euo pipefail
@@ -32,5 +34,19 @@ code=0
 "$tiltkit" simulate --config run.cfg --out abbreviated --se 3 || code=$?
 if [ "$code" -ne 2 ] || [ -e abbreviated ]; then
   echo "simulate --se exited $code, want the usage error 2 and no output directory"
+  exit 1
+fi
+sed 's/^alpha=.*/alpha=1e300/' run.cfg > diverging.cfg
+code=0
+"$tiltkit" run --config diverging.cfg --out diverging --log out/log.csv || code=$?
+if [ "$code" -ne 4 ] || [ -e diverging/estimate.csv ]; then
+  echo "run with alpha=1e300 exited $code, want 4 and no estimate.csv"
+  exit 1
+fi
+printf 'gyro_bias_dps=1e300\n' | cat run.cfg - > overflowing.cfg
+code=0
+"$tiltkit" simulate --config overflowing.cfg --out overflowing || code=$?
+if [ "$code" -ne 4 ] || [ -e overflowing ]; then
+  echo "simulate with gyro_bias_dps=1e300 exited $code, want 4 and no output directory"
   exit 1
 fi

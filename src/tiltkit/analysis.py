@@ -128,15 +128,16 @@ class Report:
 
     def write(self, outdir):
         """Write report.txt, results.csv and, when it has rows,
-        trajectories.csv (CRLF rows, as the ``csv`` module ends them)."""
+        trajectories.csv (CRLF rows, as the ``csv`` module ends them).
+        Trajectories that :func:`write_columns` refuses leave no file."""
         os.makedirs(outdir, exist_ok=True)
+        if len(next(iter(self.trajectories.values()), ())):
+            write_columns(os.path.join(outdir, "trajectories.csv"), list(self.trajectories),
+                          list(self.trajectories.values()), "\r\n")
         with open(os.path.join(outdir, "report.txt"), "w") as fh:
             fh.write(self.text)
         with open(os.path.join(outdir, "results.csv"), "w", newline="") as fh:
             fh.write(self.results_csv())
-        if len(next(iter(self.trajectories.values()), ())):
-            write_columns(os.path.join(outdir, "trajectories.csv"), list(self.trajectories),
-                          list(self.trajectories.values()), "\r\n")
 
 
 def _rows_csv(rows):

@@ -14,19 +14,17 @@ tilt is the vertical prior, 0 degrees.
 Angle convention: degrees end to end.  Radians appear only inside the
 motion terms, converted with pi/180.
 
-Each formula has one scalar helper.  :func:`correct_columns` is the
-whole-log kernel: its elementwise stages call the helpers on float64
-columns.  Its two sequential parts make no Python call per sample.  The
-low-pass recurrences are plain-float loops that repeat
-:func:`lowpass_step` inline.  The tilt feedback, phi_k = F_k(phi_{k-1})
-through the translational projection on the previous corrected tilt, is
-settled by :func:`settle_tilt` in whole-block numpy passes (waveform
+Each formula has one helper, on floats or float64 columns alike.
+:func:`correct_columns` is the whole-log kernel; its two sequential parts
+make no Python call per sample.  The low-pass recurrences, the one
+measured exception, are plain-float loops that repeat :func:`lowpass_step`
+inline.  The tilt feedback, phi_k = F_k(phi_{k-1}) through the
+translational projection on the previous corrected tilt, is settled by
+:func:`settle_tilt` in whole-block numpy passes of the tilt rule (waveform
 relaxation); a pass that changes no bit is the sequential loop's answer.
 The simulator shares the motion pre-pass, :func:`motion_columns`, and the
-sweep.  :func:`correction_pipeline_step`, which calls the helpers, is the
-one-sample streaming reference; the kernel returns its values bit for bit.
-Both take numpy's arctangent, which differs from ``math.atan2`` by an ulp
-on some arguments.
+sweep.  :func:`correction_pipeline_step` is the one-sample streaming
+reference, the helpers on floats; the kernel returns its values bit for bit.
 
 The per-sample state machine is strictly causal and single-owner: one
 :class:`CorrectionState` belongs to one stream.  Separate streams can be
@@ -36,7 +34,7 @@ processed concurrently with independent states.
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import count
-from math import degrees, isfinite, pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -196,21 +194,20 @@ def project_translational(a_t, prev_phi_bar):
     return a_t * np.cos(prev_rad), a_t * np.sin(prev_rad)
 
 
-def tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y, prev_phi_bar):
-    """Tilt from the compensated acceleration components: ``(phi_bar, degenerate)``.
+def tilt_or_previous(num, den, prev_phi_bar):
+    """The tilt rule on floats or float64 columns: ``(phi_bar, degenerate)``.
 
-    Quadrant-aware arctangent of (ax_bar + a_e + a_t_x) over
-    (ay_bar + a_c - a_t_y), in degrees in (-180, 180].  Where both
-    arguments are zero the tilt is undefined, and the result is
-    ``(prev_phi_bar, True)`` so that the stream keeps its length.  The
-    arctangent is numpy's, the one :func:`settle_tilt` takes over columns.
+    ``num`` and ``den`` are ax_bar + a_e + a_t_x and ay_bar + a_c - a_t_y.
+    The tilt is numpy's quadrant-aware arctangent in degrees, in
+    (-180, 180].  Where both are zero it is undefined, and the row takes
+    ``prev_phi_bar``, flagged degenerate, so that the stream keeps its
+    length.  Floats give 0-d arrays, which callers convert.
     """
-    num = ax_bar + a_e + a_t_x
-    den = ay_bar + a_c - a_t_y
-    if num == 0.0 and den == 0.0:
-        return prev_phi_bar, True
-    phi = degrees(np.arctan2(num, den))
-    return (phi + 360.0 if phi <= -180.0 else phi), False
+    degenerate = (num == 0.0) & (den == 0.0)
+    phi = np.degrees(np.arctan2(num, den))
+    # A where, not +=, so that -0.0 keeps its sign.
+    phi = np.where(phi <= -180.0, phi + 360.0, phi)
+    return np.where(degenerate, prev_phi_bar, phi), degenerate
 
 
 def motion_terms(rate_bar, enc_count, state, params):
@@ -245,8 +242,8 @@ def correction_pipeline_step(raw, params, state):
         a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
     else:
         a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = 0.0, 0.0, 0.0, 0.0, 0.0, _to_rad(rate_bar), 0.0
-    phi_bar, degenerate = tilt_or_previous(ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y,
-                                           state.prev_phi_bar)
+    phi, flat = tilt_or_previous(ax_bar + a_e + a_t_x, ay_bar + a_c - a_t_y, state.prev_phi_bar)
+    phi_bar, degenerate = float(phi), bool(flat)
 
     out = CorrectedSample(phi_bar=phi_bar, rate_bar=rate_bar, a_c=a_c, a_e=a_e,
                           a_t=a_t, a_t_x=a_t_x, a_t_y=a_t_y,
@@ -292,22 +289,12 @@ SWEEP_ROWS = 4096
 SWEEP_PASSES = 32
 
 
-def _tilt_rows(step, prev, start, stop):
-    """One pass over rows start..stop after the tilts ``prev``:
-    ``(phi, degenerate, extra columns)`` by the rule of :func:`tilt_or_previous`."""
-    num, den, *extra = step(prev, start, stop)
-    degenerate = (num == 0.0) & (den == 0.0)
-    phi = np.degrees(np.arctan2(num, den))
-    # A where, not +=, so that -0.0 keeps its sign.
-    phi = np.where(phi <= -180.0, phi + 360.0, phi)
-    return np.where(degenerate, prev, phi), degenerate, extra
-
-
 def settle_tilt(step, n, extras):
     """The tilt feedback phi_k = F_k(phi_{k-1}) over n rows, in numpy passes.
 
-    ``step(prev, start, stop)`` returns ``num``, ``den`` and ``extras``
-    more columns for rows start..stop, given their previous tilts ``prev``.
+    ``step(prev, start, stop)`` returns the arguments ``num``, ``den`` of
+    :func:`tilt_or_previous` and ``extras`` more columns for rows
+    start..stop, given their previous tilts ``prev``.
     Returns ``(phi, degenerate, extra)``, ``extra`` of shape (extras, n).
     Each block of SWEEP_ROWS rows starts from the last settled tilt (the
     vertical prior before row 0) and repeats phi <- F(shift(phi)).  A pass
@@ -323,7 +310,8 @@ def settle_tilt(step, n, extras):
         cur, prev = np.full(stop - start, last), np.empty(stop - start)
         for _ in range(SWEEP_PASSES):
             prev[0], prev[1:] = last, cur[:-1]
-            new, flat, cols = _tilt_rows(step, prev, start, stop)
+            num, den, *cols = step(prev, start, stop)
+            new, flat = tilt_or_previous(num, den, prev)
             changed = np.flatnonzero(new.view(np.int64) != cur.view(np.int64))
             cur = new
             if not changed.size:
@@ -332,8 +320,9 @@ def settle_tilt(step, n, extras):
         # At the pass cap, rows up to the first one the last pass changed
         # are exact.
         for k in range(start + changed[0] + 1 if changed.size else stop, stop):
-            phi[k:k + 1], degenerate[k:k + 1], extra[:, k:k + 1] = _tilt_rows(
-                step, phi[k - 1:k], k, k + 1)
+            num, den, *cols = step(phi[k - 1:k], k, k + 1)
+            phi[k:k + 1], degenerate[k:k + 1] = tilt_or_previous(num, den, phi[k - 1:k])
+            extra[:, k:k + 1] = cols
         last = phi[stop - 1]
     return phi, degenerate, extra
 

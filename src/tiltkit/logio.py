@@ -16,7 +16,8 @@ column that is empty on every row reads as no channel.  An empty
 ``enc_count`` field is accepted and flagged; it is treated as zero pulses
 downstream.
 Floats are written with ``repr`` so a written file re-parses bit-exactly.
-Every writer goes through :func:`write_columns`.  Rows of ``log.csv`` and
+Every writer goes through :func:`write_columns`, which refuses a
+non-finite value, as the readers do.  Rows of ``log.csv`` and
 ``truth.csv`` (:func:`write_log`, :func:`write_truth`) end in CRLF, the
 ``csv`` module's default; rows of the CLI's ``estimate.csv`` and
 ``spectrum.csv`` end in LF.
@@ -222,15 +223,20 @@ def write_columns(path, header, columns, line_end="\n"):
     A field is the ``repr`` of the column's Python value: floats re-parse
     bit-exactly, ints print as digits.  A ``(values, blank)`` pair is empty
     where the boolean array ``blank`` is set.  The first column must be an
-    array; it fixes the row count, and a column of another length is a
-    :class:`ParameterError` raised before the file is opened.  Rows are
-    formatted :data:`BLOCK_ROWS` at a time.
+    array; it fixes the row count.  A column of another length, or a
+    non-finite value in a field that is not blank, which the readers
+    refuse, is a :class:`ParameterError` raised before the file is opened.
+    Rows are formatted :data:`BLOCK_ROWS` at a time.
     """
     n = len(columns[0])
     for name, column in zip(header, columns):
+        values, blank = column if isinstance(column, tuple) else (column, False)
         for part in (column if isinstance(column, tuple) else (column,)):
             if len(part) != n:
                 raise ParameterError(f"column {name} has {len(part)} rows, {header[0]} has {n}")
+        bad = np.flatnonzero(~(np.isfinite(values) | blank))
+        if bad.size:
+            raise ParameterError(f"column {name} row {bad[0]} is {values[bad[0]]}, not finite")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + line_end)
         for start in range(0, n, BLOCK_ROWS):
@@ -239,15 +245,8 @@ def write_columns(path, header, columns, line_end="\n"):
 
 
 def write_log(path, log):
-    """Write a :class:`RawLog` as CSV, with the ``ref_count`` column only
-    when the log has one.  A non-finite ``t``, gyro or acceleration value,
-    which :func:`parse_log` would refuse, is a :class:`ParameterError`
-    naming its column and first row, raised before the file is opened."""
-    for name in CSV_HEADER[:4]:
-        column = getattr(log, name)
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise ParameterError(f"column {name} row {bad[0]} is {column[bad[0]]}, not finite")
+    """Write a :class:`RawLog` as CSV through :func:`write_columns`, with
+    the ``ref_count`` column only when the log has one."""
     columns = [log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2,
                (log.enc_count, log.enc_missing)]
     if log.ref_count is not None:

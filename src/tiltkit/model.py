@@ -13,12 +13,13 @@ The shadow chain is the correction kernel's own motion pre-pass
 encoder columns, plus a shadow tilt settled by the kernel's own tilt sweep
 (:func:`tiltkit.correction.settle_tilt`) from the chain's vertical prior,
 sample 0 included: each pass synthesises the accelerometer columns from
-the projection on the previous shadow tilts and takes the corrector's
-arctangent of them.
+the projection on the previous shadow tilts and applies the corrector's
+tilt rule (:func:`tiltkit.correction.tilt_or_previous`) to them.
 Correcting a noise-free log with matching parameters therefore recovers
 the true tilt at every sample to floating-point precision when the scale
 polynomials are zero, and up to the small scale-factor inversion residual
-otherwise.  The contract assumes no sample hits the clamp.
+otherwise.  The contract assumes no sample hits the clamp.  A run whose
+sensor columns are not finite is refused (:class:`SimulationError`).
 
 Randomness comes from ``numpy.random.Generator`` (PCG64 via
 ``default_rng(seed)``).  Noise is drawn in one ``standard_normal((n, k))``
@@ -168,6 +169,7 @@ def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
     return ax, ay
 
 
+@np.errstate(all="ignore")
 def simulate_run(profile, gyro, accel, params, seed):
     """Simulate a full run; returns ``(TruthLog, RawLog)`` of equal length.
 
@@ -179,7 +181,9 @@ def simulate_run(profile, gyro, accel, params, seed):
     the tilt sweep, which makes no Python call per sample.  The first sample
     embeds no motion terms, as the pre-pass holds zeros there.  A negative
     ``seed``, which ``default_rng`` cannot take, or a run of more than
-    :data:`MAX_SAMPLES` samples raises ParameterError.
+    :data:`MAX_SAMPLES` samples raises ParameterError.  A non-finite truth,
+    gyro or accelerometer value raises SimulationError at its first sample;
+    numpy's floating-point warnings are silenced.
     """
     if not seed >= 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
@@ -259,6 +263,12 @@ def simulate_run(profile, gyro, accel, params, seed):
     # The shadow starts from the corrector's vertical prior; a_t is zero at
     # sample 0, so the projection embeds exact zeros there.
     acc_x_arr, acc_y_arr = settle_tilt(step, n, 2)[2]
+    # The first non-finite gyro or accelerometer sample, one column's mask
+    # at a time, so that no temporary of all three is added.
+    bad = [np.isfinite(c).argmin() for c in (gyro_arr, acc_x_arr, acc_y_arr)
+           if not np.isfinite(c).all()]
+    if bad:
+        raise SimulationError(int(min(bad)))
 
     t_arr = np.arange(n) * dt
     truth = TruthLog(t_arr, *truth_cols)

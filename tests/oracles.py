@@ -233,9 +233,9 @@ def looped_accel_columns(phi_deg, a_c, a_e, a_t, noise_x, noise_y, accel, params
         ay = GRAVITY * cos(phi_r) - c + ty
         acc_x[k] = ax = clamp(ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + nx)
         acc_y[k] = ay = clamp(ay + scale_factor(ay, accel.scale_poly_y) + accel.bias_y + ny)
-        phi_bar, _ = tilt_or_previous(
-            correct_accel(ax, params.accel_bias_x, params.scale_poly_x),
-            correct_accel(ay, params.accel_bias_y, params.scale_poly_y), e, c, tx, ty, phi_bar)
+        phi_bar = float(tilt_or_previous(
+            correct_accel(ax, params.accel_bias_x, params.scale_poly_x) + e + tx,
+            correct_accel(ay, params.accel_bias_y, params.scale_poly_y) + c - ty, phi_bar)[0])
     return acc_x, acc_y
 
 

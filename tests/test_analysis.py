@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import rowwise_trajectories_csv
-from test_logio import SPECIAL_FLOATS
+from test_logio import FINITE_SPECIAL_FLOATS
 
 from tiltkit.analysis import (
     Report,
@@ -222,7 +222,7 @@ class TestMakeReport:
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("k", [4, 5])
     def test_trajectories_csv_matches_rowwise_writer(self, tmp_path, n, k):
-        columns = [np.roll(np.resize(SPECIAL_FLOATS, n), c) for c in range(k)]
+        columns = [np.roll(np.resize(FINITE_SPECIAL_FLOATS, n), c) for c in range(k)]
         make_report(_result_rows()[:1], trajectories=columns).write(tmp_path)
         rowwise_trajectories_csv(tmp_path / "old.csv", columns)
         new, old = tmp_path / "trajectories.csv", tmp_path / "old.csv"

@@ -1,8 +1,13 @@
+import tempfile
+import warnings
 from dataclasses import fields
+from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import rowwise_estimate_csv, rowwise_spectrum_csv
 from tiltkit import reference as ref
@@ -224,6 +229,36 @@ class TestCommands:
                      "--log", str(out / "log.csv")]) == EXIT_CONTRACT
         assert "phi_bar[1] is nan" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimate.csv").exists()
+
+    @pytest.mark.parametrize("alpha, code", [(1e300, EXIT_CONTRACT), (3.0, 0)])
+    def test_run_non_finite_estimates_exit_4(self, tmp_path, capsys, alpha, code):
+        # alpha=1e300 drives wb's estimates to inf, which eval would refuse
+        # to read; alpha=3 is unstable, but its estimates are still finite
+        cfg_path, _ = write_config(tmp_path, duration_s=2.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        odd_path, _ = write_config(tmp_path, name="odd.cfg", duration_s=2.0, alpha=alpha)
+        capsys.readouterr()
+        assert main(["run", "--config", str(odd_path), "--out", str(tmp_path / "est"),
+                     "--log", str(out / "log.csv")]) == code
+        if code:
+            assert "error: column phi_hat_deg row 3 is -inf, not finite" in capsys.readouterr().err
+            assert not any((tmp_path / "est").iterdir())
+        else:
+            assert np.isfinite(read_columns(tmp_path / "est" / "estimate.csv")["phi_hat_deg"]).all()
+
+    def test_simulate_overflowing_gyro_bias_exit_4(self, tmp_path, capsys):
+        # the corrected rate of a 1e300 deg/s bias overflows the centrifugal
+        # term: the accelerometer columns are NaN from sample 1
+        cfg_path, _ = write_config(tmp_path, gyro_bias_dps=1e300)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONTRACT
+        assert [str(w.message) for w in caught] == []
+        assert "error: non-finite value at sample 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def write_resting_training_log(tmp_path, n=50):
@@ -629,3 +664,40 @@ class TestCommands:
         lines = [l for l in stdout.splitlines() if "=" in l and not l.startswith("#")]
         echoed = parse_config_text("\n".join(lines))
         assert echoed == load_config(cfg_path)
+
+
+# --- odd config values --------------------------------------------------------
+
+ODD_VALUES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "-0.0", "1e-12", "3")
+NUMBER_KEYS = [name for name, hint in get_type_hints(RunConfig).items() if hint is not str]
+
+
+@pytest.fixture(scope="module")
+def odd_inputs(tmp_path_factory):
+    """A 1 s simulated log with a reference channel, and the config it was
+    simulated with."""
+    base = tmp_path_factory.mktemp("odd")
+    cfg_path, cfg = write_config(base, N_drive=2000, duration_s=1.0, alpha=0.0008, beta=0.0)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(base)]) == 0
+    log = parse_log(base / "log.csv")
+    log.ref_count = np.zeros(len(log), dtype=np.int64)
+    write_log(base / "log.csv", log)
+    return base, cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["simulate", "calibrate", "tune", "run", "spectrum"]),
+       key=st.sampled_from(NUMBER_KEYS), value=st.sampled_from(ODD_VALUES))
+@example(command="simulate", key="gyro_bias_dps", value="1e300")  # once left truth.csv
+def test_odd_config_value_exits_documented_and_a_failure_writes_nothing(odd_inputs, command,
+                                                                         key, value):
+    # 39 keys x 11 values x 5 commands are too many to run in the suite
+    base, cfg = odd_inputs
+    work = Path(tempfile.mkdtemp(dir=base))
+    lines = [line for line in cfg.to_text().splitlines() if line.split("=")[0] != key]
+    (work / "odd.cfg").write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    argv = [command, "--config", str(work / "odd.cfg"), "--out", str(work / "out")]
+    code = main(argv + ([] if command == "simulate" else ["--log", str(base / "log.csv")]))
+    assert code in (0, 3, 4, 5)
+    if code:
+        assert not (work / "out").exists() or not any((work / "out").iterdir())

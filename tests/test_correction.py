@@ -184,7 +184,8 @@ class TestMotionAccelerations:
 
 def corrected_tilt(*args):
     """The tilt of :func:`tilt_or_previous` where it is defined."""
-    phi, degenerate = tilt_or_previous(*args, 7.0)
+    ax_bar, ay_bar, a_e, a_c, a_t_x, a_t_y = args
+    phi, degenerate = tilt_or_previous(ax_bar + a_e + a_t_x, ay_bar + a_c - a_t_y, 7.0)
     assert not degenerate
     return phi
 
@@ -205,8 +206,8 @@ class TestCorrectedTilt:
 
     def test_degenerate(self):
         # both arguments zero: the previous tilt, flagged
-        assert tilt_or_previous(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 12.5) == (12.5, True)
-        assert tilt_or_previous(1.0, 2.0, -1.0, -2.0, 0.0, 0.0, 12.5) == (12.5, True)
+        assert tilt_or_previous(0.0, 0.0, 12.5) == (12.5, True)
+        assert tilt_or_previous(1.0 + -1.0 + 0.0, 2.0 + -2.0 - 0.0, 12.5) == (12.5, True)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(1)

@@ -7,9 +7,11 @@ import pytest
 from conftest import simulate_rig
 from oracles import (rowwise_estimate_csv, rowwise_spectrum_csv, rowwise_write_log,
                      rowwise_write_truth)
+from tiltkit.analysis import make_report
 from tiltkit.errors import OrderingError, ParameterError, ParseError
 from tiltkit.logio import (BLOCK_ROWS, RawLog, RawSample, TruthLog, parse_log, read_columns,
                            write_columns, write_log, write_truth)
+from tiltkit.tuning import TuningResult
 
 HEADER = "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
 
@@ -170,7 +172,7 @@ def test_read_columns_rejects_bad_fields(tmp_path, text, line, column):
 # non-finite values.
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16,
                   float("inf"), float("nan"))
-# write_log refuses the non-finite ones, as parse_log would.
+# The writers refuse the non-finite ones, as the readers would.
 FINITE_SPECIAL_FLOATS = SPECIAL_FLOATS[:-2]
 WRITER_SIZES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
 
@@ -234,14 +236,14 @@ def test_write_log_refuses_non_finite_values(tmp_path, name, value):
 
 @pytest.mark.parametrize("n", WRITER_SIZES)
 def test_write_truth_matches_rowwise_writer(tmp_path, n):
-    truth = TruthLog(*_float_columns(n, 7, seed=n))
+    truth = TruthLog(*_float_columns(n, 7, seed=n, specials=FINITE_SPECIAL_FLOATS))
     _assert_same_bytes(tmp_path, write_truth, rowwise_write_truth, truth)
 
 
 @pytest.mark.parametrize("n", WRITER_SIZES)
 @pytest.mark.parametrize("debug", [False, True])
 def test_estimate_rows_match_rowwise_writer(tmp_path, n, debug):
-    t, phi_hat, *fields = _float_columns(n, 9, seed=n)
+    t, phi_hat, *fields = _float_columns(n, 9, seed=n, specials=FINITE_SPECIAL_FLOATS)
     names = ("phi_bar", "rate_bar", "a_c", "a_e", "a_t", "a_t_x", "a_t_y")
     corrected = [SimpleNamespace(**dict(zip(names, row)))
                  for row in np.array(fields).T.tolist()]
@@ -257,7 +259,7 @@ def test_estimate_rows_match_rowwise_writer(tmp_path, n, debug):
 
 @pytest.mark.parametrize("n", WRITER_SIZES)
 def test_spectrum_rows_match_rowwise_writer(tmp_path, n):
-    freqs, mags = _float_columns(n, 2, seed=n)
+    freqs, mags = _float_columns(n, 2, seed=n, specials=FINITE_SPECIAL_FLOATS)
     write_columns(tmp_path / "new.csv", ["frequency_hz", "magnitude"], [freqs, mags])
     rowwise_spectrum_csv(tmp_path / "old.csv", freqs, mags)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -273,6 +275,52 @@ def test_write_columns_refuses_unequal_lengths(tmp_path, columns, message):
     with pytest.raises(ParameterError, match=message):
         write_columns(path, ["a", "b", "c"][:len(columns)], columns)
     assert not path.exists()
+
+
+def _write_report(path, columns):
+    result = TuningResult(variant="wb", dt=0.01, parameters={"alpha": 0.1, "beta": 0.0},
+                          training_mse=1.0)
+    make_report([result], trajectories=columns).write(path.parent)
+
+
+# The writer of every artifact but log.csv, with the columns it writes:
+# write_truth, run's estimate.csv (with --debug-intermediates), spectrum's
+# spectrum.csv and a report's trajectories.csv.
+ESTIMATE = ("t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps", "a_c", "a_e", "a_t", "a_t_x",
+            "a_t_y")
+SPECTRUM = ("frequency_hz", "magnitude")
+WRITERS = {
+    "truth": (TruthLog.COLUMNS, lambda path, columns: write_truth(path, TruthLog(*columns))),
+    "estimate": (ESTIMATE, lambda path, columns: write_columns(path, ESTIMATE, columns)),
+    "spectrum": (SPECTRUM, lambda path, columns: write_columns(path, SPECTRUM, columns)),
+    "trajectories": (("t", "phi_true_deg", "phi_bar_deg", "phi_hat_deg", "arctan_raw_deg"),
+                     _write_report),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_refuse_non_finite_values(tmp_path, writer, value):
+    # tiltkit's readers would refuse the file; no writer writes it, nor
+    # any other file
+    names, write = WRITERS[writer]
+    for c, name in enumerate(names):
+        columns = _float_columns(10, len(names), seed=c, specials=FINITE_SPECIAL_FLOATS)
+        columns[c, [3, 7]] = value
+        with pytest.raises(ParameterError, match=f"^column {name} row 3 is {value}, not finite$"):
+            write(tmp_path / "out.csv", list(columns))
+        assert not any(tmp_path.iterdir())
+
+
+def test_write_columns_blank_fields_may_hold_non_finite_values(tmp_path):
+    values = np.array([1.0, float("nan"), float("inf"), 2.0])
+    write_columns(tmp_path / "blank.csv", ["a", "b"],
+                  [np.arange(4.0), (values, ~np.isfinite(values))])
+    assert (tmp_path / "blank.csv").read_text() == "a,b\n0.0,1.0\n1.0,\n2.0,\n3.0,2.0\n"
+    with pytest.raises(ParameterError, match="^column b row 2 is inf, not finite$"):
+        write_columns(tmp_path / "out.csv", ["a", "b"],
+                      [np.arange(4.0), (values, np.isnan(values))])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_write_truth_memory_stays_bounded(tmp_path):

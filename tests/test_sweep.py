@@ -15,7 +15,7 @@ from test_correction import _fold_pipeline, correction_cases
 from test_readers import PROPERTY
 from tiltkit import correction, model
 from tiltkit.correction import (SWEEP_PASSES, SWEEP_ROWS, CorrectionParams, correct_columns,
-                                correct_gyro, motion_columns)
+                                correct_gyro, motion_columns, tilt_or_previous)
 from tiltkit.logio import RawLog
 from tiltkit.model import (AccelErrorModel, GyroErrorModel, MotionProfile,
                            default_dynamic_profile, simulate_run)
@@ -47,6 +47,25 @@ def test_numpy_scalars_match_columns(name):
     args = (ARGS, DENS) if name == "arctan2" else (ARGS,)
     scalars = np.array([ufunc(*xs) for xs in zip(*(a.tolist() for a in args))])
     assert ufunc(*args).tobytes() == scalars.tobytes()
+
+
+def test_tilt_rule_columns_match_floats():
+    # The streaming reference calls tilt_or_previous on floats, the sweeps
+    # on columns.  The last rows: both-zero arguments of each sign, which
+    # keep the previous tilt (-0.0 among them); -0.0 over a positive
+    # argument, which keeps its sign; and three arctangents of +-180
+    # degrees, which the wrap makes 180.
+    num = np.concatenate([ARGS, [0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -1e-300]])
+    den = np.concatenate([DENS, [0.0, 0.0, -0.0, -0.0, 9.81, -9.81, -9.81, -1.0]])
+    prev = np.concatenate([np.random.default_rng(1).uniform(-180.0, 180.0, len(ARGS)),
+                           [-0.0, 12.5, -179.5, 180.0, 1.0, 1.0, 1.0, 1.0]])
+    phi, degenerate = tilt_or_previous(num, den, prev)
+    rows = [tilt_or_previous(*xs) for xs in zip(num.tolist(), den.tolist(), prev.tolist())]
+    assert phi.tobytes() == np.array([float(p) for p, _ in rows]).tobytes()
+    assert degenerate.tolist() == [bool(d) for _, d in rows]
+    assert phi[-8:].tobytes() == np.array([-0.0, 12.5, -179.5, 180.0, -0.0, 180.0, 180.0,
+                                           180.0]).tobytes()
+    assert degenerate[-8:].tolist() == [True] * 4 + [False] * 4
 
 
 # --- correct_columns == the sequential loop ----------------------------------
