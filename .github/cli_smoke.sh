@@ -6,8 +6,9 @@
 # 5-column header: it has no reference channel, so no ref_count column, and
 # tune, which needs one, is not run.  A flag the command does not read, and
 # the prefix of one it does, must be a usage error (exit 2).  A run whose
-# estimates overflow to inf (alpha=1e300) and a simulation whose sensor
-# columns do (gyro_bias_dps=1e300) must exit 4 and write nothing.
+# estimates overflow to inf (alpha=1e300), a simulation whose sensor
+# columns do (gyro_bias_dps=1e300) and a run whose motion terms do
+# (gyro_bias_dps=1e300) must exit 4 and write nothing.
 #
 #   bash .github/cli_smoke.sh "$(command -v tiltkit)"
 set -euo pipefail
@@ -48,5 +49,11 @@ code=0
 "$tiltkit" simulate --config overflowing.cfg --out overflowing || code=$?
 if [ "$code" -ne 4 ] || [ -e overflowing ]; then
   echo "simulate with gyro_bias_dps=1e300 exited $code, want 4 and no output directory"
+  exit 1
+fi
+code=0
+"$tiltkit" run --config overflowing.cfg --out overflowing --log out/log.csv || code=$?
+if [ "$code" -ne 4 ] || [ -e overflowing/estimate.csv ]; then
+  echo "run with gyro_bias_dps=1e300 exited $code, want 4 and no estimate.csv"
   exit 1
 fi

@@ -4,10 +4,10 @@ Sensor simulation (``model``), deterministic measurement correction
 (``correction``), a family of discrete tilt filters (``filters``),
 MSE-based calibration and tuning (``tuning``), signal diagnostics and
 reporting (``analysis``), plus CSV/config plumbing (``logio``, ``config``)
-and a batch CLI (``cli``).
+and a batch CLI (``cli``), not imported here, so ``python -m tiltkit.cli`` runs without warning.
 """
 
-from . import analysis, cli, config, correction, filters, logio, model, reference, tuning
+from . import analysis, config, correction, filters, logio, model, reference, tuning
 from .analysis import Report, Spectrum, make_report, mse, noise_spectrum, snr_db, spectrum_area
 from .config import RunConfig, load_config, parse_config_text
 from .correction import (

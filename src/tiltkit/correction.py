@@ -331,13 +331,24 @@ def correct_columns(log, params):
     """Whole-log correction kernel; returns ``CorrectedColumns``.  ``log``
     needs array attributes like :class:`tiltkit.logio.RawLog`.  The tilt
     feedback is :func:`settle_tilt` over the column forms of
-    :func:`project_translational` and :func:`tilt_or_previous`."""
+    :func:`project_translational` and :func:`tilt_or_previous`.  A motion
+    term that overflows where ``rate_bar`` is finite, which the arctangent
+    would absorb, raises ParameterError at its first sample, without numpy's
+    warnings; a non-finite ``rate_bar`` is left to the filters to refuse."""
     rate_bar = correct_gyro(log.gyro_dps, params.gyro_bias)
     n = len(rate_bar)
     if n == 0:
         return CorrectedColumns(*np.empty((7, 0)), np.empty(0, dtype=bool))
-    a_c, a_e, a_t = motion_columns(rate_bar, np.where(log.enc_missing, 0, log.enc_count),
-                                   params)
+    with np.errstate(all="ignore"):
+        a_c, a_e, a_t = motion_columns(rate_bar, np.where(log.enc_missing, 0, log.enc_count),
+                                       params)
+    terms = {"a_c": a_c, "a_e": a_e, "a_t": a_t}
+    bad = [(int(rows[0]), name) for name, term in terms.items() if not np.isfinite(term).all()
+           and (rows := np.flatnonzero(np.isfinite(rate_bar) & ~np.isfinite(term))).size]
+    if bad:
+        k, name = min(bad)
+        raise ParameterError(f"{name}[{k}] is {float(terms[name][k])!r} where rate_bar[{k}] "
+                             f"is finite: the motion term overflowed")
     num0 = correct_accel(log.acc_x_mps2, params.accel_bias_x, params.scale_poly_x) + a_e
     den0 = correct_accel(log.acc_y_mps2, params.accel_bias_y, params.scale_poly_y) + a_c
 

@@ -99,30 +99,20 @@ class RawLog:
     def from_samples(cls, samples):
         samples = list(samples)
         has_ref = any(s.ref_count is not None for s in samples)
-        return cls(
-            [s.t for s in samples],
-            [s.gyro_dps for s in samples],
-            [s.acc_x_mps2 for s in samples],
-            [s.acc_y_mps2 for s in samples],
-            [s.enc_count for s in samples],
-            [0 if s.ref_count is None else s.ref_count for s in samples] if has_ref else None,
-            [s.enc_missing for s in samples],
-        )
+        columns = [[getattr(s, name) for s in samples] for name in CSV_HEADER[:5]]
+        return cls(*columns, [s.ref_count or 0 for s in samples] if has_ref else None,
+                   [s.enc_missing for s in samples])
 
 
 class TruthLog:
-    """Column-wise ground-truth trajectory emitted by the simulator."""
+    """Column-wise ground-truth trajectory emitted by the simulator: one
+    float64 array attribute per name of COLUMNS, given in that order."""
 
     COLUMNS = ("t", "phi_deg", "phi_dot_dps", "phi_ddot_dps2", "x_m", "v_mps", "a_t_mps2")
 
-    def __init__(self, t, phi_deg, phi_dot_dps, phi_ddot_dps2, x_m, v_mps, a_t_mps2):
-        self.t = np.asarray(t, dtype=float)
-        self.phi_deg = np.asarray(phi_deg, dtype=float)
-        self.phi_dot_dps = np.asarray(phi_dot_dps, dtype=float)
-        self.phi_ddot_dps2 = np.asarray(phi_ddot_dps2, dtype=float)
-        self.x_m = np.asarray(x_m, dtype=float)
-        self.v_mps = np.asarray(v_mps, dtype=float)
-        self.a_t_mps2 = np.asarray(a_t_mps2, dtype=float)
+    def __init__(self, *columns):
+        for name, column in zip(self.COLUMNS, columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=float))
 
     def __len__(self):
         return len(self.t)

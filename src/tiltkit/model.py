@@ -1,10 +1,11 @@
 """Discrete robot kinematics and synthetic sensor generation.
 
 The simulator replaces recorded rig trajectories: it advances the
-ground-truth state with the forward-Euler kinematics, then corrupts ideal
-sensor readings with the configured deterministic and stochastic
-interference (bias, scale-factor polynomial, white noise, saturation,
-encoder quantisation).
+ground-truth state with the forward-Euler kinematics, as prefix sums over
+the drives' columns in the per-sample loop's order of additions, then
+corrupts ideal sensor readings with the configured deterministic and
+stochastic interference (bias, scale-factor polynomial, white noise,
+saturation, encoder quantisation).
 
 Invertibility contract: the accelerometer channels embed exactly the
 motion-induced interference that the correction chain will reconstruct.
@@ -31,8 +32,9 @@ here is a pure function over value types; one run is single-threaded, and
 independent runs (distinct seeds) can execute concurrently.
 """
 
-from dataclasses import dataclass, field
-from math import floor, inf, isfinite, pi, sin
+from dataclasses import dataclass
+from functools import lru_cache
+from math import floor, inf, isfinite, pi
 from typing import Callable
 
 import numpy as np
@@ -98,13 +100,14 @@ class MotionProfile:
     """Closed-form drive signals for a simulation run.
 
     ``phi_ddot_fn(t)`` returns the angular acceleration in deg/s^2 and
-    ``a_t_fn(t)`` the translational acceleration in m/s^2 at time t seconds.
+    ``a_t_fn(t)`` the translational acceleration in m/s^2 at the times
+    ``t`` in seconds, a float64 column, as a column of the same length.
     """
 
     duration: float
     dt: float
-    phi_ddot_fn: Callable[[float], float] = field(default=lambda t: 0.0)
-    a_t_fn: Callable[[float], float] = field(default=lambda t: 0.0)
+    phi_ddot_fn: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    a_t_fn: Callable[[np.ndarray], np.ndarray] = np.zeros_like
     phi0: float = 0.0
     phi_dot0: float = 0.0
 
@@ -138,35 +141,26 @@ def default_dynamic_profile(duration, dt, tilt_amp_deg=0.15, tilt_freq_hz=0.7,
     w_a = 2.0 * pi * a_t_freq_hz
 
     def phi_ddot_fn(t):
-        return -tilt_amp_deg * w_phi * w_phi * sin(w_phi * t)
+        return -tilt_amp_deg * w_phi * w_phi * np.sin(w_phi * t)
 
     def a_t_fn(t):
-        return a_t_amp * sin(w_a * t)
+        return a_t_amp * np.sin(w_a * t)
 
     return MotionProfile(duration=duration, dt=dt,
                          phi_ddot_fn=phi_ddot_fn, a_t_fn=a_t_fn,
                          phi0=0.0, phi_dot0=tilt_amp_deg * w_phi)
 
 
-def euler_step(p, p_dot, p_ddot, dt):
-    """One forward-Euler step of a position/rate pair under the acceleration
-    ``p_ddot``: returns ``(p + p_dot*dt + p_ddot*dt^2/2, p_dot + p_ddot*dt)``."""
-    return p + p_dot * dt + 0.5 * p_ddot * dt * dt, p_dot + p_ddot * dt
+def true_accel_components(phi_deg, a_e, a_c):
+    """Ideal accelerometer readings for a given tilt and rotational terms.
 
-
-def true_accel_components(phi_deg, a_e, a_c, a_t_x, a_t_y):
-    """Ideal accelerometer readings for a given tilt and motion terms.
-
-    Inverts the corrected-tilt equation: the x' channel reads the gravity
-    projection minus the terms the correction later adds back, the y'
-    channel the gravity projection minus the centrifugal term plus the
-    translational projection.  Takes floats or float64 columns; numpy's
-    sine, cosine and degree conversion return math's values bit for bit.
+    Inverts the corrected-tilt equation up to the translational projection,
+    which the simulator then subtracts from x' and adds to y'.  Takes floats
+    or float64 columns; numpy's sine, cosine and degree conversion return
+    math's values bit for bit.
     """
     phi_r = np.radians(phi_deg)
-    ax = GRAVITY * np.sin(phi_r) - a_e - a_t_x
-    ay = GRAVITY * np.cos(phi_r) - a_c + a_t_y
-    return ax, ay
+    return GRAVITY * np.sin(phi_r) - a_e, GRAVITY * np.cos(phi_r) - a_c
 
 
 @np.errstate(all="ignore")
@@ -175,11 +169,10 @@ def simulate_run(profile, gyro, accel, params, seed):
 
     Encoder counts are the integer part of the accumulated fractional pulse
     count implied by wheel travel, with the residual carried to the next
-    sample so no pulse is ever lost.  The truth and the encoder advance
-    first, then the gyro column; the accelerometer columns, which embed the
-    motion pre-pass terms and the projection on the shadow tilt, come from
-    the tilt sweep, which makes no Python call per sample.  The first sample
-    embeds no motion terms, as the pre-pass holds zeros there.  A negative
+    sample so no pulse is ever lost: the one per-sample loop.  The truth
+    comes first, then the encoder and the gyro column; the accelerometer
+    columns, which embed the motion pre-pass terms (zero at sample 0) and
+    the projection on the shadow tilt, come from the tilt sweep.  A negative
     ``seed``, which ``default_rng`` cannot take, or a run of more than
     :data:`MAX_SAMPLES` samples raises ParameterError.  A non-finite truth,
     gyro or accelerometer value raises SimulationError at its first sample;
@@ -194,39 +187,38 @@ def simulate_run(profile, gyro, accel, params, seed):
     rng = np.random.default_rng(seed)
 
     # Truth columns in TruthLog order after t: phi, phi_dot, phi_ddot, x, v, a_t.
+    t_arr = np.arange(n) * dt
     truth_cols = np.empty((6, n))
+    truth_cols[2], truth_cols[5] = profile.phi_ddot_fn(t_arr), profile.a_t_fn(t_arr)
+    # Forward Euler as prefix sums in the per-sample loop's order of additions:
+    # p_dot sums [p_dot_0, p_ddot_0*dt, p_ddot_1*dt, ...], and p is every second
+    # sum of [p_0, p_dot_0*dt, 0.5*p_ddot_0*dt*dt, p_dot_1*dt, 0.5*p_ddot_1*dt*dt, ...].
+    sums = np.empty(2 * n - 1)
+    for (p, p_dot, p_ddot), p0, p_dot0 in ((truth_cols[:3], profile.phi0, profile.phi_dot0),
+                                          (truth_cols[3:], 0.0, 0.0)):
+        p_dot[0], sums[0] = p_dot0, p0
+        np.multiply(p_ddot[:-1], dt, out=p_dot[1:])
+        np.add.accumulate(p_dot, out=p_dot)
+        np.multiply(p_dot[:-1], dt, out=sums[1::2])
+        np.multiply(0.5 * p_ddot[:-1] * dt, dt, out=sums[2::2])
+        p[:] = np.add.accumulate(sums, out=sums)[::2]
+    del sums
+    finite = np.isfinite(truth_cols).all(axis=0)
+    bad = n if finite.all() else int(finite.argmin())
+
+    # Encoder: each period's wheel travel in pulses, the fraction carried on.
+    # The range test keeps a non-finite residual from floor() and int64.
     enc_arr = np.empty(n, dtype=np.int64)
-
-    # The truth advances on plain floats, stored through memoryviews.
-    phi_out, dot_out, ddot_out, x_out, v_out, a_out = map(memoryview, truth_cols)
-    enc_out = memoryview(enc_arr)
-    phi, phi_dot, x, v = profile.phi0, profile.phi_dot0, 0.0, 0.0
-    phi_ddot, a_t = profile.phi_ddot_fn(0.0), profile.a_t_fn(0.0)
+    enc_out, pulse_residual = memoryview(enc_arr), 0.0
     pulses_per_m = params.N_drive / (2.0 * pi * params.R_w)
-    pulse_residual = 0.0
-    prev_x = x
-
-    for k in range(n):
-        # Encoder: the wheel travel of the period ending at t_k, in pulses.
-        pulse_residual += (x - prev_x) * pulses_per_m
-        # One check per sample; the range test also keeps a non-finite
-        # residual from floor() and one past int64 from the encoder column.
-        if not (isfinite(phi) and isfinite(phi_dot) and isfinite(phi_ddot) and isfinite(x)
-                and isfinite(v) and isfinite(a_t) and -2.0**63 <= pulse_residual < 2.0**63):
+    for k, travel in enumerate(memoryview(np.diff(truth_cols[3, :bad], prepend=0.0))):
+        pulse_residual += travel * pulses_per_m
+        if not -2.0**63 <= pulse_residual < 2.0**63:
             raise SimulationError(k)
-        phi_out[k], dot_out[k], ddot_out[k] = phi, phi_dot, phi_ddot
-        x_out[k], v_out[k], a_out[k] = x, v, a_t
-        n_pulses = floor(pulse_residual)
+        enc_out[k] = n_pulses = floor(pulse_residual)
         pulse_residual -= n_pulses
-        prev_x = x
-        enc_out[k] = n_pulses
-
-        # Ground truth advances by the pure Euler step, then the profile
-        # re-drives the accelerations for the next instant.
-        phi, phi_dot = euler_step(phi, phi_dot, phi_ddot, dt)
-        x, v = euler_step(x, v, a_t, dt)
-        t_next = (k + 1) * dt
-        phi_ddot, a_t = profile.phi_ddot_fn(t_next), profile.a_t_fn(t_next)
+    if bad < n:
+        raise SimulationError(bad)
 
     # One bulk draw in the per-sample order gyro, x', y'; a channel with
     # zero noise draws nothing.
@@ -245,10 +237,17 @@ def simulate_run(profile, gyro, accel, params, seed):
     a_c, a_e, a_t = motion_columns(correct_gyro(gyro_arr, params.gyro_bias), enc_arr, params)
     sat = accel.saturation
 
+    # The gravity projection does not depend on the shadow tilt: once per
+    # block, not per pass, and no whole-run column.
+    @lru_cache(maxsize=1)
+    def gravity(start, stop):
+        return true_accel_components(truth_cols[0, start:stop], a_e[start:stop], a_c[start:stop])
+
     def step(prev, start, stop):
         rows = slice(start, stop)
         a_t_x, a_t_y = project_translational(a_t[rows], prev)
-        ax, ay = true_accel_components(truth_cols[0, rows], a_e[rows], a_c[rows], a_t_x, a_t_y)
+        gravity_x, gravity_y = gravity(start, stop)
+        ax, ay = gravity_x - a_t_x, gravity_y + a_t_y
         # Forward scale-factor distortion evaluates the polynomial at the true
         # component; the correction side evaluates it at measurement - bias.
         ax = ax + scale_factor(ax, accel.scale_poly_x) + accel.bias_x + noise_x[rows]
@@ -270,7 +269,6 @@ def simulate_run(profile, gyro, accel, params, seed):
     if bad:
         raise SimulationError(int(min(bad)))
 
-    t_arr = np.arange(n) * dt
     truth = TruthLog(t_arr, *truth_cols)
     log = RawLog(t_arr, gyro_arr, acc_x_arr, acc_y_arr, enc_arr)
     return truth, log

@@ -6,7 +6,9 @@ the unrolled fixed-gain loops keep one recurrence per variant, each with
 its own term order; the generator-driven Kalman loop draws each step's
 gain from ``_kalman_gains``; the looped tilt feedbacks advance the
 corrector's and the simulator's tilt one sample at a time over plain
-floats, where the package settles it in block sweeps; the shadow simulator
+floats, where the package settles it in block sweeps; the looped truth
+advances the Euler recurrences one sample at a time, where the package
+takes prefix sums; the shadow simulator
 writes out its own kinematics and sensor models, generates one sample at a
 time and runs the streaming correction step on each; the row-wise CSV writers
 format one row at a time, through ``csv.writer`` for the logs; the
@@ -237,6 +239,38 @@ def looped_accel_columns(phi_deg, a_c, a_e, a_t, noise_x, noise_y, accel, params
             correct_accel(ax, params.accel_bias_x, params.scale_poly_x) + e + tx,
             correct_accel(ay, params.accel_bias_y, params.scale_poly_y) + c - ty, phi_bar)[0])
     return acc_x, acc_y
+
+
+def looped_truth(profile, pulses_per_m):
+    """The simulator's truth and encoder by the per-sample loop the prefix
+    sums replaced: returns the truth columns ``(6, n)`` in TruthLog order
+    after t and the encoder column.  Forward Euler advances plain floats,
+    the drives are read one sample at a time and the encoder residual is
+    carried.  Raises SimulationError at the first sample with a non-finite
+    truth value or a residual outside the int64 range."""
+    from math import floor
+
+    from tiltkit.errors import SimulationError
+
+    n, dt = profile.n_samples, profile.dt
+    t = np.arange(n) * dt
+    drives = zip(profile.phi_ddot_fn(t).tolist(), profile.a_t_fn(t).tolist())
+    truth = np.empty((6, n))
+    enc = np.empty(n, dtype=np.int64)
+    phi, phi_dot, x, v = profile.phi0, profile.phi_dot0, 0.0, 0.0
+    residual = prev_x = 0.0
+    for k, (phi_ddot, a_t) in enumerate(drives):
+        residual += (x - prev_x) * pulses_per_m
+        state = (phi, phi_dot, phi_ddot, x, v, a_t)
+        if not all(map(isfinite, state)) or not -2.0**63 <= residual < 2.0**63:
+            raise SimulationError(k)
+        truth[:, k] = state
+        pulses = floor(residual)
+        residual -= pulses
+        enc[k], prev_x = pulses, x
+        phi, phi_dot = phi + phi_dot * dt + 0.5 * phi_ddot * dt * dt, phi_dot + phi_ddot * dt
+        x, v = x + v * dt + 0.5 * a_t * dt * dt, v + a_t * dt
+    return truth, enc
 
 
 def shadow_simulate_run(profile, gyro, accel, params, seed):

@@ -260,6 +260,24 @@ class TestCommands:
         assert "error: non-finite value at sample 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_overflowing_gyro_bias_exit_4(self, tmp_path, capsys):
+        # the corrected rate of -1e300 deg/s is finite, but its centrifugal
+        # term overflows to inf, which the arctangent would absorb: phi_bar
+        # 0.0 on every row and phi_hat -1.8e300
+        cfg_path, _ = write_config(tmp_path, duration_s=2.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        odd_path, _ = write_config(tmp_path, name="odd.cfg", duration_s=2.0, gyro_bias_dps=1e300)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(odd_path), "--out", str(tmp_path / "est"),
+                         "--log", str(out / "log.csv")]) == EXIT_CONTRACT
+        assert [str(w.message) for w in caught] == []
+        assert ("error: a_c[1] is inf where rate_bar[1] is finite: the motion term overflowed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "est" / "estimate.csv").exists()
+
     @staticmethod
     def write_resting_training_log(tmp_path, n=50):
         log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -469,6 +470,27 @@ class TestParamsValidation:
         spec = make_filter("wb", {"alpha": 0.00185, "beta": -0.00018}, params.dt)
         with pytest.raises(ParameterError, match=r"\[1\] is"):
             run_filter_arrays(spec, corrected.phi_bar, corrected.rate_bar)
+
+    @pytest.mark.parametrize("name, k", [("a_c", 1), ("a_t", 5)])
+    def test_overflowing_motion_term_refused(self, name, k, dynamic_run_clean):
+        # A finite corrected rate whose centrifugal term overflows (a 1e300
+        # deg/s bias), or 2**62 pulses in one 1e-300 s period, whose velocity
+        # overflows: the kernel names the term and its first sample.
+        _, log, params = dynamic_run_clean
+        if name == "a_c":
+            params = dataclasses.replace(params, gyro_bias=1e300)
+        else:
+            n = 10
+            log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
+                         acc_y_mps2=np.full(n, ref.GRAVITY),
+                         enc_count=np.where(np.arange(n) == k, 2**62, 0))
+            params = dataclasses.replace(params, dt=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as exc:
+                correct_columns(log, params)
+        assert str(exc.value) == (f"{name}[{k}] is inf where rate_bar[{k}] is finite: "
+                                  "the motion term overflowed")
 
 
 def test_kernel_makes_no_python_call_per_sample(dynamic_run_clean):

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import RIG_N_DRIVE, rig_models, rig_params, simulate_rig
-from oracles import shadow_simulate_run
-from test_readers import _python_calls
+from oracles import looped_truth, shadow_simulate_run
+from test_readers import PROPERTY, _python_calls
 from tiltkit import reference as ref
-from tiltkit.correction import run_correction_arrays
+from tiltkit.correction import CorrectionParams, run_correction_arrays
 from tiltkit.errors import ParameterError, SimulationError
 from tiltkit.logio import TruthLog
 from tiltkit.model import (
@@ -70,7 +72,7 @@ class TestSimulateRun:
             assert np.allclose(log.acc_y_mps2, ay, rtol=0.0, atol=1e-12)
             assert np.all(log.enc_count == 0)
         # an upright robot spinning at 1 rad/s senses less y' acceleration
-        assert true_accel_components(0.0, 0.0, params.R, 0.0, 0.0) == (0.0, G - params.R)
+        assert true_accel_components(0.0, 0.0, params.R) == (0.0, G - params.R)
 
     def test_determinism(self):
         a = simulate_rig(duration=3.0, gyro_noise=0.2, accel_noise=0.1, seed=11)
@@ -100,7 +102,8 @@ class TestSimulateRun:
         # swaying or under constant accelerations, where the forward-Euler
         # truth is the closed form p = p_ddot*t^2/2, p_dot = p_ddot*t
         params = rig_params(with_errors=False, N_drive=512)
-        constant = MotionProfile(10.0, 0.01, phi_ddot_fn=lambda t: 2.0, a_t_fn=lambda t: 0.3)
+        constant = MotionProfile(10.0, 0.01, phi_ddot_fn=lambda t: np.full_like(t, 2.0),
+                                 a_t_fn=lambda t: np.full_like(t, 0.3))
         for profile in (default_dynamic_profile(10.0, 0.01, a_t_amp=0.3, a_t_freq_hz=0.4),
                         constant):
             truth, log = simulate_run(profile, GyroErrorModel(), AccelErrorModel(),
@@ -135,35 +138,41 @@ class TestSimulateRun:
     def test_non_finite_profile_reports_index(self):
         profile = MotionProfile(
             duration=1.0, dt=0.01,
-            phi_ddot_fn=lambda t: float("nan") if t >= 0.5 else 0.0)
+            phi_ddot_fn=lambda t: np.where(t >= 0.5, np.nan, 0.0))
         params = rig_params(with_errors=False)
         with pytest.raises(SimulationError) as exc:
             simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
         assert exc.value.sample_index == 50
 
     @pytest.mark.parametrize("phi_ddot_fn, a_t_fn", [
-        (lambda t: 0.0, lambda t: float("nan") if t >= 0.3 else 0.01),
-        (lambda t: 1e308, lambda t: 0.0),       # finite drive, the Euler step overflows
-        (lambda t: float("nan"), lambda t: 0.0),  # NaN at sample 0
+        (np.zeros_like, lambda t: np.where(t >= 0.3, np.nan, 0.01)),
+        (lambda t: np.full_like(t, 1e308), np.zeros_like),  # the Euler step overflows
+        (lambda t: np.full_like(t, np.nan), np.zeros_like),  # NaN at sample 0
     ], ids=["nan_a_t", "euler_overflow", "nan_at_0"])
     def test_error_index_matches_shadow_reference(self, phi_ddot_fn, a_t_fn):
         profile = MotionProfile(duration=5.0, dt=0.1, phi_ddot_fn=phi_ddot_fn, a_t_fn=a_t_fn)
         params = rig_params(with_errors=False)
         gyro, accel = rig_models(False, 0.17, 0.1)
-        with pytest.raises(SimulationError) as ref_exc:
+        # The shadow calls the drives on float times, which give numpy
+        # scalars: their overflow would warn where a float's does not.
+        with np.errstate(over="ignore"), pytest.raises(SimulationError) as ref_exc:
             shadow_simulate_run(profile, gyro, accel, params, 3)
         with pytest.raises(SimulationError) as exc:
             simulate_run(profile, gyro, accel, params, 3)
         assert exc.value.sample_index == ref_exc.value.sample_index
         assert 0 <= exc.value.sample_index < profile.n_samples
 
-    @pytest.mark.parametrize("a_t", [1e308, 1e290])
+    # The drive that makes sample 1's pulse count 1.5 * 2**63, past int64
+    # though a float64 holds it: x_1 = 0.5*a_t*dt*dt at dt = 10 ms.
+    PAST_INT64 = 1.5 * 2.0**63 * (2.0 * math.pi * ref.WHEEL_RADIUS_M / RIG_N_DRIVE) / 5e-5
+
+    @pytest.mark.parametrize("a_t", [1e308, 1e290, pytest.param(PAST_INT64, id="past_int64")])
     def test_encoder_overflow_raises_simulation_error(self, a_t):
         # The wheel travel stays finite while its pulse count overflows to
-        # inf (1e308) or leaves the int64 range (1e290); the first period
-        # with travel is sample 1.  Neither floor() nor the int64 column may
-        # raise ValueError or OverflowError.
-        profile = MotionProfile(duration=1.0, dt=0.01, a_t_fn=lambda t: a_t)
+        # inf (1e308) or leaves the int64 range (1e290, PAST_INT64); the
+        # first period with travel is sample 1.  Neither floor() nor the
+        # int64 column may raise ValueError or OverflowError.
+        profile = MotionProfile(duration=1.0, dt=0.01, a_t_fn=lambda t: np.full_like(t, a_t))
         params = rig_params(with_errors=False)
         with pytest.raises(SimulationError) as exc:
             simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
@@ -190,11 +199,12 @@ class TestSimulateRun:
         self._assert_bit_identical(profile, gyro, accel, params, seed=11)
 
     def test_python_calls_per_sample(self):
-        # Per sample, the truth loop calls the two profile drives and two
-        # Euler steps: 4.  The accelerometer columns come from the tilt
-        # sweep, whose Python calls are per pass and per block, a few
-        # dozen per pass and a handful of passes per block, so the two run
-        # lengths may differ by some passes but not by a call per sample.
+        # The drives and the Euler prefix sums take whole columns, and the
+        # encoder loop calls no Python function: 0 per sample.  The
+        # accelerometer columns come from the tilt sweep, whose Python calls
+        # are per pass and per block, a few dozen per pass and a handful of
+        # passes per block, so the two run lengths may differ by some
+        # passes but not by a call per sample.
         params = rig_params(with_errors=True)
         gyro, accel = rig_models(True, 0.17, 0.1)
 
@@ -203,7 +213,7 @@ class TestSimulateRun:
             return simulate_run(profile, gyro, accel, params, 3)
 
         n = 1000
-        assert abs(_python_calls(simulate, 2 * n) - _python_calls(simulate, n) - 4 * n) < n / 4
+        assert abs(_python_calls(simulate, 2 * n) - _python_calls(simulate, n)) < n / 4
 
     def test_sample_cap_refused_before_allocating(self):
         dt = 0.01
@@ -234,3 +244,74 @@ class TestSimulateRun:
             MotionProfile(duration=1.0, dt=0.0)
         with pytest.raises(ParameterError):
             MotionProfile(duration=0.001, dt=0.01)
+
+
+class TestTruthColumns:
+    """The truth as prefix sums, held to the per-sample Euler loop."""
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_numpy_accumulate_is_sequential(self):
+        # The truth columns are np.add.accumulate prefix sums: numpy's 1-D
+        # accumulate must add in order, s_k = s_{k-1} + a_k, in place too.
+        # Terms of mixed magnitude make any other order show in the bits.
+        # Each special run makes at most one NaN: which of two NaN operands
+        # a sum keeps is the compiler's choice, not an order of additions.
+        rng = np.random.default_rng(20230921)
+        mixed = rng.standard_normal(100_000) * 10.0 ** rng.integers(-12, 13, 100_000)
+        specials = ([-0.0, 5e-324, 1e308, 1e308, -1e308, 2.5],  # overflow to inf
+                    [-0.0, -0.0], [1.0, np.inf, 3.0, -np.inf, 4.0], [2.0, np.nan, 1.0])
+        for terms in (mixed, *map(np.array, specials), np.concatenate([mixed[:999], specials[2]])):
+            sums = [float(terms[0])]
+            for term in terms[1:].tolist():
+                sums.append(sums[-1] + term)
+            want = np.array(sums).tobytes()
+            assert np.add.accumulate(terms).tobytes() == want
+            in_place = terms.copy()
+            np.add.accumulate(in_place, out=in_place)
+            assert in_place.tobytes() == want
+
+    @staticmethod
+    @st.composite
+    def profiles(draw):
+        """A short run of moderate drives, each of which may take one odd
+        value: NaN, infinite, large enough for the Euler sums or the
+        encoder to overflow, -0.0 or subnormal."""
+        n = draw(st.integers(1, 40))
+        dt = draw(st.sampled_from([0.002, 0.01, 0.37]))
+        moderate = st.floats(-1e3, 1e3)
+        odd = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 1e290, -0.0, 5e-324])
+
+        def drive():
+            values = draw(st.lists(moderate, min_size=n, max_size=n))
+            if draw(st.booleans()):
+                values[draw(st.integers(0, n - 1))] = draw(odd)
+            return np.array(values)
+
+        phi_ddot, a_t = drive(), drive()
+        profile = MotionProfile((n + 0.5) * dt, dt, phi_ddot_fn=lambda t: phi_ddot,
+                                a_t_fn=lambda t: a_t, phi0=draw(moderate),
+                                phi_dot0=draw(moderate))
+        return profile, draw(st.sampled_from([1, 512, RIG_N_DRIVE]))
+
+    @PROPERTY
+    @given(case=profiles())
+    @example(case=(MotionProfile(1.0, 0.1, phi_ddot_fn=lambda t: np.where(t > 0.45, np.nan, 1.0)),
+                   512))
+    @example(case=(MotionProfile(1.0, 0.1, phi_ddot_fn=lambda t: np.full_like(t, 1e308)), 512))
+    @example(case=(MotionProfile(1.0, 0.1, a_t_fn=lambda t: np.full_like(t, 1e290)), 512))
+    def test_truth_matches_the_euler_loop(self, case):
+        # The same bytes, or SimulationError at the same first sample; with
+        # error-free sensors a finite truth gives finite sensor columns.
+        profile, N_drive = case
+        params = CorrectionParams(dt=profile.dt, N_drive=N_drive)
+        try:
+            want, enc = looped_truth(profile, N_drive / (2.0 * math.pi * params.R_w))
+        except SimulationError as ref_exc:
+            with pytest.raises(SimulationError) as exc:
+                simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
+            assert exc.value.sample_index == ref_exc.sample_index
+            return
+        truth, log = simulate_run(profile, GyroErrorModel(), AccelErrorModel(), params, 0)
+        got = np.array([getattr(truth, name) for name in TruthLog.COLUMNS[1:]])
+        assert got.tobytes() == want.tobytes()
+        assert log.enc_count.tobytes() == enc.tobytes()

@@ -1,9 +1,11 @@
-"""No command loads scipy: tiltkit needs numpy alone at run time.
+"""Start-up in a fresh interpreter.
 
-The simplex search is tiltkit's own (``tuning._simplex_pass``), so every
+No command loads scipy: tiltkit needs numpy alone at run time.  The
+simplex search is tiltkit's own (``tuning._simplex_pass``), so every
 command, ``tune`` included, runs without any ``scipy`` module.  The check
 runs in a fresh interpreter, because the test process itself imports
-scipy for its oracles.
+scipy for its oracles.  ``python -m tiltkit.cli`` runs without a warning,
+because the package does not import ``cli`` before runpy executes it.
 """
 
 import json
@@ -63,13 +65,27 @@ print(json.dumps({"codes": codes, "after": after, "control": control}))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+
+
+def test_no_command_loads_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0] * 8
     assert report["after"] == []
     assert "scipy.optimize" in report["control"]
+
+
+def test_python_m_cli_runs_without_a_warning(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dt_ms=10\nN_drive=2000\nduration_s=0.5\nseed=1\n")
+    proc = subprocess.run([sys.executable, "-m", "tiltkit.cli", "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "out" / "log.csv").exists()
