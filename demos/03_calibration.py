@@ -13,7 +13,7 @@ import numpy as np
 
 from tiltkit import reference as ref
 from tiltkit.correction import scale_factor
-from tiltkit.tuning import estimate_static_bias, fit_scale_factor, fit_scale_factor_degrees
+from tiltkit.tuning import estimate_static_bias, fit_scale_factor
 
 G = ref.GRAVITY
 rng = np.random.default_rng(0)
@@ -48,5 +48,5 @@ for axis, poly in (("x'", ref.SCALE_POLY_X), ("y'", ref.SCALE_POLY_Y)):
 
 print("\ndegree sweep on noisy x' data (training MSE per polynomial degree):")
 noisy = np.column_stack([p + rng.normal(0, 0.05, len(p)), a_ref])
-for degree, fit in fit_scale_factor_degrees(noisy).items():
-    print(f"  degree {degree}: MSE = {fit.mse:.6f}")
+for degree in range(1, 6):
+    print(f"  degree {degree}: MSE = {fit_scale_factor(noisy, degree=degree).mse:.6f}")

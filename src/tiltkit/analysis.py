@@ -123,8 +123,17 @@ class Report:
     trajectories: dict = field(default_factory=dict)
 
     def results_csv(self):
-        """Render the result rows as CSV text (repr floats, round-trip exact)."""
-        return _rows_csv(self.rows)
+        """Render the result rows as CSV text under the first row's keys
+        (repr floats, round-trip exact); empty for no rows."""
+        if not self.rows:
+            return ""
+        fields = list(self.rows[0].keys())
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(fields)
+        for row in self.rows:
+            writer.writerow([_cell(row.get(f)) for f in fields])
+        return buf.getvalue()
 
     def write(self, outdir):
         """Write report.txt, results.csv and, when it has rows,
@@ -138,19 +147,6 @@ class Report:
             fh.write(self.text)
         with open(os.path.join(outdir, "results.csv"), "w", newline="") as fh:
             fh.write(self.results_csv())
-
-
-def _rows_csv(rows):
-    """CSV text of dict rows under the first row's keys; empty for no rows."""
-    if not rows:
-        return ""
-    fields = list(rows[0].keys())
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_cell(row.get(f)) for f in fields])
-    return buf.getvalue()
 
 
 def _cell(value):

@@ -232,14 +232,21 @@ def correction_pipeline_step(raw, params, state):
     tilt from :func:`tilt_or_previous`, the first on the state's vertical
     prior.  The first sample holds zero motion terms and seeds the rate
     low-pass from the first corrected rate, the velocity low-pass from zero.
+    Like :func:`correct_columns`, it raises ParameterError, without numpy's
+    warnings, where a motion term overflows and ``rate_bar`` is finite.
     """
     rate_bar = correct_gyro(raw.gyro_dps, params.gyro_bias)
     ax_bar = correct_accel(raw.acc_x_mps2, params.accel_bias_x, params.scale_poly_x)
     ay_bar = correct_accel(raw.acc_y_mps2, params.accel_bias_y, params.scale_poly_y)
-    enc_missing = bool(getattr(raw, "enc_missing", False))
     if state.initialized:
-        n = 0 if enc_missing else raw.enc_count
-        a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
+        n = 0 if raw.enc_missing else raw.enc_count
+        with np.errstate(all="ignore"):
+            a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = motion_terms(rate_bar, n, state, params)
+        terms = {"a_c": a_c, "a_e": a_e, "a_t": a_t}
+        bad = [name for name, term in terms.items() if not isfinite(term)]
+        if bad and isfinite(rate_bar):
+            raise ParameterError(f"{bad[0]} is {terms[bad[0]]!r} where rate_bar is finite: "
+                                 "the motion term overflowed")
     else:
         a_c, a_e, a_t, a_t_x, a_t_y, rate_f, v_f = 0.0, 0.0, 0.0, 0.0, 0.0, _to_rad(rate_bar), 0.0
     phi, flat = tilt_or_previous(ax_bar + a_e + a_t_x, ay_bar + a_c - a_t_y, state.prev_phi_bar)
@@ -247,7 +254,7 @@ def correction_pipeline_step(raw, params, state):
 
     out = CorrectedSample(phi_bar=phi_bar, rate_bar=rate_bar, a_c=a_c, a_e=a_e,
                           a_t=a_t, a_t_x=a_t_x, a_t_y=a_t_y,
-                          degenerate=degenerate, enc_missing=enc_missing)
+                          degenerate=degenerate, enc_missing=raw.enc_missing)
     return out, CorrectionState(prev_phi_bar=phi_bar, prev_rate_filtered=rate_f,
                                 prev_v_filtered=v_f, initialized=True)
 

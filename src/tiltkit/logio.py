@@ -95,14 +95,6 @@ class RawLog:
         for k in range(len(self)):
             yield self[k]
 
-    @classmethod
-    def from_samples(cls, samples):
-        samples = list(samples)
-        has_ref = any(s.ref_count is not None for s in samples)
-        columns = [[getattr(s, name) for s in samples] for name in CSV_HEADER[:5]]
-        return cls(*columns, [s.ref_count or 0 for s in samples] if has_ref else None,
-                   [s.enc_missing for s in samples])
-
 
 class TruthLog:
     """Column-wise ground-truth trajectory emitted by the simulator: one

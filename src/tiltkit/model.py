@@ -173,10 +173,11 @@ def simulate_run(profile, gyro, accel, params, seed):
     comes first, then the encoder and the gyro column; the accelerometer
     columns, which embed the motion pre-pass terms (zero at sample 0) and
     the projection on the shadow tilt, come from the tilt sweep.  A negative
-    ``seed``, which ``default_rng`` cannot take, or a run of more than
-    :data:`MAX_SAMPLES` samples raises ParameterError.  A non-finite truth,
-    gyro or accelerometer value raises SimulationError at its first sample;
-    numpy's floating-point warnings are silenced.
+    ``seed``, which ``default_rng`` cannot take, a run of more than
+    :data:`MAX_SAMPLES` samples or a drive that does not return one value
+    per sample time raises ParameterError.  A non-finite truth, gyro or
+    accelerometer value raises SimulationError at its first sample; numpy's
+    floating-point warnings are silenced.
     """
     if not seed >= 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
@@ -189,7 +190,11 @@ def simulate_run(profile, gyro, accel, params, seed):
     # Truth columns in TruthLog order after t: phi, phi_dot, phi_ddot, x, v, a_t.
     t_arr = np.arange(n) * dt
     truth_cols = np.empty((6, n))
-    truth_cols[2], truth_cols[5] = profile.phi_ddot_fn(t_arr), profile.a_t_fn(t_arr)
+    for row, name in ((2, "phi_ddot_fn"), (5, "a_t_fn")):
+        column = getattr(profile, name)(t_arr)
+        if np.shape(column) != (n,):
+            raise ParameterError(f"{name} returned shape {np.shape(column)}, want ({n},)")
+        truth_cols[row] = column
     # Forward Euler as prefix sums in the per-sample loop's order of additions:
     # p_dot sums [p_dot_0, p_ddot_0*dt, p_ddot_1*dt, ...], and p is every second
     # sum of [p_0, p_dot_0*dt, 0.5*p_ddot_0*dt*dt, p_dot_1*dt, 0.5*p_ddot_1*dt*dt, ...].
@@ -202,7 +207,7 @@ def simulate_run(profile, gyro, accel, params, seed):
         np.multiply(p_dot[:-1], dt, out=sums[1::2])
         np.multiply(0.5 * p_ddot[:-1] * dt, dt, out=sums[2::2])
         p[:] = np.add.accumulate(sums, out=sums)[::2]
-    del sums
+    del sums, column
     finite = np.isfinite(truth_cols).all(axis=0)
     bad = n if finite.all() else int(finite.argmin())
 

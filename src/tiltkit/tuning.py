@@ -251,11 +251,6 @@ def fit_scale_factor(pairs, degree=5):
                           mse=float(resid @ resid) / len(resid))
 
 
-def fit_scale_factor_degrees(pairs, degrees=range(1, 6)):
-    """Fit every degree in ``degrees`` and report all results."""
-    return {d: fit_scale_factor(pairs, degree=d) for d in degrees}
-
-
 @dataclass
 class TimeConstantResult:
     T_omega: float

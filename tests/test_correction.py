@@ -363,6 +363,46 @@ class TestKernelMatchesStreamingReference:
         flags = [k for k, c in enumerate(run_correction(log, params)) if c.degenerate]
         assert flags == [40, 41, 150]
 
+    @pytest.mark.parametrize("name, k", [("a_c", 1), ("a_t", 5)])
+    def test_overflowing_motion_term_refused_by_both(self, name, k, dynamic_run_clean):
+        # TestParamsValidation's overflows, a 1e300 deg/s gyro bias on 3
+        # samples and 2**62 pulses in one 1e-300 s period: the reference
+        # names the term at the sample of the fold where the kernel does.
+        _, log, params = dynamic_run_clean
+        if name == "a_c":
+            log, params = log[:3], dataclasses.replace(params, gyro_bias=1e300)
+        else:
+            n = 10
+            log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
+                         acc_y_mps2=np.full(n, G), enc_count=np.where(np.arange(n) == k, 2**62, 0))
+            params = dataclasses.replace(params, dt=1e-300)
+        state, folded = CorrectionState(), 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as kernel_exc:
+                correct_columns(log, params)
+            with pytest.raises(ParameterError) as ref_exc:
+                for raw in log:
+                    state = correction_pipeline_step(raw, params, state)[1]
+                    folded += 1
+        assert str(kernel_exc.value) == (f"{name}[{k}] is inf where rate_bar[{k}] is finite: "
+                                         "the motion term overflowed")
+        assert str(ref_exc.value) == (f"{name} is inf where rate_bar is finite: "
+                                      "the motion term overflowed")
+        assert folded == k
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_is_no_overflow_to_either(self, value, dynamic_run_clean):
+        # the motion terms of a non-finite corrected rate are not finite
+        # either; both pass them on for the filters to refuse
+        _, log, params = dynamic_run_clean
+        log, params = log[:20], dataclasses.replace(params, gyro_bias=value)
+        got = correct_columns(log, params)
+        expected = _fold_pipeline(log, params)
+        for name, column in zip(got._fields, got):
+            want = np.array([getattr(c, name) for c in expected], dtype=column.dtype)
+            assert column.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_short_logs(self, n):
         truth, log, params = simulate_rig(duration=0.05, gyro_noise=0.1, accel_noise=0.05)

@@ -9,8 +9,8 @@ from oracles import (rowwise_estimate_csv, rowwise_spectrum_csv, rowwise_write_l
                      rowwise_write_truth)
 from tiltkit.analysis import make_report
 from tiltkit.errors import OrderingError, ParameterError, ParseError
-from tiltkit.logio import (BLOCK_ROWS, RawLog, RawSample, TruthLog, parse_log, read_columns,
-                           write_columns, write_log, write_truth)
+from tiltkit.logio import (BLOCK_ROWS, RawLog, TruthLog, parse_log, read_columns, write_columns,
+                           write_log, write_truth)
 from tiltkit.tuning import TuningResult
 
 HEADER = "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
@@ -98,16 +98,6 @@ def test_write_parse_roundtrip_bit_exact(tmp_path):
     back = parse_log(path)
     for name in ("t", "gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count"):
         assert np.array_equal(getattr(back, name), getattr(log, name)), name
-
-
-def test_from_samples_roundtrip():
-    samples = [RawSample(t=0.0, gyro_dps=1.0, acc_x_mps2=0.1, acc_y_mps2=9.7,
-                         enc_count=2, ref_count=5),
-               RawSample(t=0.01, gyro_dps=-1.0, acc_x_mps2=-0.1, acc_y_mps2=9.9,
-                         enc_count=-2, ref_count=-5)]
-    log = RawLog.from_samples(samples)
-    assert len(log) == 2
-    assert log[1] == samples[1]
 
 
 @pytest.mark.parametrize("n_ref", [1, 4])
@@ -209,16 +199,13 @@ def test_write_log_matches_rowwise_writer(tmp_path, n, ref):
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
 def test_write_log_of_samples_matches_rowwise_writer(tmp_path, n):
-    # some samples carry no ref_count (written as 0 once any sample has one),
-    # some an empty enc_count field
+    # a ref_count of 0 in some rows and an empty enc_count field in others,
+    # then the same columns with no reference channel and no empty field
+    k = np.arange(n)
     floats = _float_columns(n, 4, seed=n + 1, specials=FINITE_SPECIAL_FLOATS)
-    samples = [RawSample(t, g, ax, ay, enc_count=k - 3, ref_count=None if k % 3 else k,
-                         enc_missing=k % 5 == 0)
-               for k, (t, g, ax, ay) in enumerate(floats.T.tolist())]
-    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog.from_samples(samples))
-    no_ref = [RawSample(s.t, s.gyro_dps, s.acc_x_mps2, s.acc_y_mps2, s.enc_count)
-              for s in samples]
-    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog.from_samples(no_ref))
+    log = RawLog(*floats, k - 3, np.where(k % 3, 0, k), k % 5 == 0)
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, log)
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, RawLog(*floats, k - 3))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

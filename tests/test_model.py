@@ -239,6 +239,18 @@ class TestSimulateRun:
             assert getattr(log, name).tobytes() == getattr(ref_log, name).tobytes(), name
         assert log.ref_count is None
 
+    @pytest.mark.parametrize("name, drive, shape", [
+        ("a_t_fn", lambda t: 0.3, "()"),  # a float, as a per-sample drive returns
+        ("a_t_fn", lambda t: t[:3], "(3,)"),
+        ("phi_ddot_fn", lambda t: np.zeros((len(t), 2)), "(10, 2)"),
+    ], ids=["float", "short", "two_columns"])
+    def test_drive_column_of_another_shape_refused(self, name, drive, shape):
+        profile = MotionProfile(duration=0.1, dt=0.01, **{name: drive})
+        with pytest.raises(ParameterError) as exc:
+            simulate_run(profile, GyroErrorModel(), AccelErrorModel(),
+                         rig_params(with_errors=False), 0)
+        assert str(exc.value) == f"{name} returned shape {shape}, want (10,)"
+
     def test_profile_validation(self):
         with pytest.raises(ParameterError):
             MotionProfile(duration=1.0, dt=0.0)

@@ -19,7 +19,6 @@ from tiltkit.tuning import (
     TuningResult,
     estimate_static_bias,
     fit_scale_factor,
-    fit_scale_factor_degrees,
     nelder_mead,
     tune_filter,
     tune_time_constants,
@@ -313,7 +312,7 @@ class TestFitScaleFactor:
 
     def test_degree_monotonicity(self):
         pairs = make_pairs(ref.SCALE_POLY_X, noise=0.05, n=500, seed=2)
-        fits = fit_scale_factor_degrees(pairs)
+        fits = {d: fit_scale_factor(pairs, degree=d) for d in range(1, 6)}
         mses = [fits[d].mse for d in sorted(fits)]
         for lo, hi in zip(mses[1:], mses):
             assert lo <= hi + 1e-12
