@@ -5,10 +5,12 @@ First the two low-pass time constants of the correction chain, then the
 gain parameters of a fixed-gain filter, and finally the covariances of the
 time-varying filter (its first gain pinned to the tuned fixed gains, the
 same convention the bundled reference tunings used).  All three searches
-run the same seeded Nelder-Mead with restarts.
+run the same seeded Nelder-Mead with restarts.  Search times go to stderr,
+so stdout is the same on every run.
 """
 
 import os
+import sys
 import time
 
 from tiltkit import reference as ref
@@ -48,7 +50,8 @@ t0 = time.perf_counter()
 tc = tune_time_constants(log_t, truth_t.phi_deg, params, cfg,
                          x0=(lp.T_omega, lp.T_v))
 print(f"low-pass constants: T_omega = {tc.T_omega:.5f}, T_v = {tc.T_v:.5f} "
-      f"(MSE {tc.mse:.5f} deg^2, {time.perf_counter() - t0:.1f} s)")
+      f"(MSE {tc.mse:.5f} deg^2)")
+print(f"low-pass search: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 stream_t = run_correction_arrays(log_t, params)
 stream_v = run_correction_arrays(log_v, params)
@@ -60,7 +63,8 @@ res_wb = tune_filter("wb", stream_t, truth_t.phi_deg, dt, cfg,
                      x0=[0.00185, -0.00018], verification=verification)
 results.append(res_wb)
 print(f"wb     : {res_wb.parameters}  train {res_wb.training_mse:.5f} "
-      f"verify {res_wb.verification_mse:.5f} ({time.perf_counter() - t0:.1f} s)")
+      f"verify {res_wb.verification_mse:.5f}")
+print(f"wb search: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 t0 = time.perf_counter()
 res_ks = tune_filter("kalman_star", stream_t, truth_t.phi_deg, dt, cfg,
@@ -71,7 +75,8 @@ res_ks = tune_filter("kalman_star", stream_t, truth_t.phi_deg, dt, cfg,
 results.append(res_ks)
 print(f"kalman*: q1 {res_ks.parameters['q1']:.3g} q2 {res_ks.parameters['q2']:.3g} "
       f"r {res_ks.parameters['r']:.3g}  train {res_ks.training_mse:.5f} "
-      f"verify {res_ks.verification_mse:.5f} ({time.perf_counter() - t0:.1f} s)")
+      f"verify {res_ks.verification_mse:.5f}")
+print(f"kalman* search: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
 
 report = make_report(results, logs_metadata="tuned on synthetic 2 ms logs")
 report.write(OUT)

@@ -42,8 +42,6 @@ class Spectrum:
 
     frequencies: np.ndarray  # Hz, 0 .. 1/(2*dt)
     magnitudes: np.ndarray   # amplitude units of the input signal
-    dt: float
-    n_samples: int           # original (unpadded) length
 
     @property
     def n_fft(self):
@@ -65,7 +63,7 @@ def noise_spectrum(signal, dt):
     mags[1:half] *= 2.0
     mags /= n_fft
     freqs = np.fft.rfftfreq(n_fft, dt)
-    return Spectrum(frequencies=freqs, magnitudes=mags, dt=float(dt), n_samples=n)
+    return Spectrum(frequencies=freqs, magnitudes=mags)
 
 
 def spectrum_energy(sp):

@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import analysis, filters, tuning
+from . import analysis, filters, model, tuning
 from .config import check_dt_matches, load_config
 from .correction import correct_columns, run_correction_arrays
 # Unused here; kept importable because per-module tracers patch it on cli.
@@ -170,11 +170,11 @@ def cmd_calibrate(config, args):
         ]
     else:
         ref_phi = accumulate_reference(log.ref_count, config.N_ref)
-        ref_rad = np.radians(ref_phi)
+        ax_ref, ay_ref = model.true_accel_components(ref_phi, 0.0, 0.0)
         px = log.acc_x_mps2 - config.accel_bias_x_mps2
         py = log.acc_y_mps2 - config.accel_bias_y_mps2
-        fit_x = tuning.fit_scale_factor(np.column_stack([px, GRAVITY * np.sin(ref_rad)]))
-        fit_y = tuning.fit_scale_factor(np.column_stack([py, GRAVITY * np.cos(ref_rad)]))
+        fit_x = tuning.fit_scale_factor(np.column_stack([px, ax_ref]))
+        fit_y = tuning.fit_scale_factor(np.column_stack([py, ay_ref]))
         for i, c in enumerate(fit_x.coefficients, start=1):
             lines.append(f"poly_x_{i}={c!r}")
         for i, c in enumerate(fit_y.coefficients, start=1):

@@ -23,6 +23,7 @@ import numpy as np
 from .correction import CorrectionParams
 from .errors import ConfigError, ParameterError, ParseError
 from .filters import PARAMS, canonical_variant
+from .logio import number
 from .model import AccelErrorModel, GyroErrorModel
 from .reference import (
     ACCEL_SATURATION_MPS2,
@@ -140,8 +141,9 @@ _KEY_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConf
 
 
 def parse_config_text(text):
-    """Parse key=value text into a :class:`RunConfig`."""
-    values = {}
+    """Parse key=value text into a :class:`RunConfig`.  Each key may be set
+    once, and an int or float value follows :func:`tiltkit.logio.number`."""
+    values, key_lines = {}, {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -153,17 +155,19 @@ def parse_config_text(text):
         val = val.strip()
         if key not in _KEY_TYPES:
             raise ParseError(f"unknown configuration key {key!r}", line=line_no)
+        if key in key_lines:
+            raise ParseError(f"key {key!r} is set twice, on lines {key_lines[key]} and {line_no}",
+                             line=line_no)
+        key_lines[key] = line_no
+        kind = _KEY_TYPES[key]
         try:
-            values[key] = _KEY_TYPES[key](val)
+            values[key] = kind(val) if kind is str else number(val, kind)
         except ValueError:
             raise ParseError(f"bad value {val!r} for key {key!r}", line=line_no) from None
     missing = {"dt_ms", "N_drive"} - values.keys()
     if missing:
         raise ParseError(f"missing required keys: {', '.join(sorted(missing))}")
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ParseError(f"bad configuration: {exc}") from None
+    return RunConfig(**values)
 
 
 def load_config(path):

@@ -296,20 +296,20 @@ SWEEP_ROWS = 4096
 SWEEP_PASSES = 32
 
 
-def settle_tilt(step, n, extras):
+def settle_tilt(step, n):
     """The tilt feedback phi_k = F_k(phi_{k-1}) over n rows, in numpy passes.
 
     ``step(prev, start, stop)`` returns the arguments ``num``, ``den`` of
-    :func:`tilt_or_previous` and ``extras`` more columns for rows
-    start..stop, given their previous tilts ``prev``.
-    Returns ``(phi, degenerate, extra)``, ``extra`` of shape (extras, n).
+    :func:`tilt_or_previous` and two more columns for rows start..stop,
+    given their previous tilts ``prev``.
+    Returns ``(phi, degenerate, extra)``, ``extra`` of shape (2, n).
     Each block of SWEEP_ROWS rows starts from the last settled tilt (the
     vertical prior before row 0) and repeats phi <- F(shift(phi)).  A pass
     that leaves its first m rows unchanged has its first m + 1 rows exact,
     so one that changes no bit is the sequential loop's answer.  After
     SWEEP_PASSES passes the block is finished row by row with ``step``.
     """
-    phi, extra = np.empty(n), np.empty((extras, n))
+    phi, extra = np.empty(n), np.empty((2, n))
     degenerate = np.empty(n, dtype=bool)
     last = CorrectionState.prev_phi_bar
     for start in range(0, n, SWEEP_ROWS):
@@ -363,7 +363,7 @@ def correct_columns(log, params):
         tx, ty = project_translational(a_t[start:stop], prev)
         return num0[start:stop] + tx, den0[start:stop] - ty, tx, ty
 
-    phi_bar, degenerate, (a_t_x, a_t_y) = settle_tilt(step, n, 2)
+    phi_bar, degenerate, (a_t_x, a_t_y) = settle_tilt(step, n)
     return CorrectedColumns(phi_bar, rate_bar, a_c, a_e, a_t, a_t_x, a_t_y, degenerate)
 
 

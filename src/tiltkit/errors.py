@@ -23,9 +23,9 @@ class SimulationError(TiltkitError):
     Carries the index of the offending sample.
     """
 
-    def __init__(self, sample_index, message=""):
+    def __init__(self, sample_index):
         self.sample_index = sample_index
-        super().__init__(message or f"non-finite value at sample {sample_index}")
+        super().__init__(f"non-finite value at sample {sample_index}")
 
 
 class FilterConfigError(TiltkitError, ValueError):
@@ -60,11 +60,4 @@ class ConfigError(TiltkitError, ValueError):
 
 
 class OptimizationFailure(TiltkitError):
-    """The optimizer could not produce a usable result.
-
-    ``best`` carries the best point found so far, if any.
-    """
-
-    def __init__(self, message, best=None):
-        self.best = best
-        super().__init__(message)
+    """The optimizer could not produce a usable result."""

@@ -128,8 +128,6 @@ _INIT_P_MARGIN = 1e-9
 def canonical_variant(name):
     """Normalise a variant name ('WA-a', 'kalman*', ...) to its tag."""
     tag = str(name).strip().lower().replace("-", "_").replace("*", "_star")
-    if tag == "kalman_star_star":
-        tag = "kalman_star"
     if tag not in ALL_VARIANTS:
         raise FilterConfigError(f"unknown filter variant {name!r}; "
                                 f"choose from {', '.join(ALL_VARIANTS)}")

@@ -114,7 +114,7 @@ class TruthLog:
 _COUNTS = ("enc_count", "ref_count")
 
 
-def _number(text, kind=float):
+def number(text, kind=float):
     """``kind(text)``, refusing the ``_`` and non-ASCII digits numpy refuses."""
     if "_" in text or not text.strip().isascii():
         raise ValueError(f"not a plain number: {text!r}")
@@ -127,7 +127,7 @@ def _blank_field(kind, flags):
     def convert(text):
         empty = not text.strip()
         flags.append(empty)
-        return (0 if kind is int else nan) if empty else _number(text, kind)
+        return (0 if kind is int else nan) if empty else number(text, kind)
     return convert
 
 
@@ -279,7 +279,7 @@ def _raise_first_bad_field(path, names, log=False):
                 if not text.strip() and (count or not log):
                     continue
                 try:
-                    value = _number(text, int if count else float)
+                    value = number(text, int if count else float)
                 except ValueError:
                     value = nan
                 if not (-2 ** 63 <= value < 2 ** 63 if count else isfinite(value)):

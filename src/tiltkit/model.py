@@ -266,7 +266,7 @@ def simulate_run(profile, gyro, accel, params, seed):
 
     # The shadow starts from the corrector's vertical prior; a_t is zero at
     # sample 0, so the projection embeds exact zeros there.
-    acc_x_arr, acc_y_arr = settle_tilt(step, n, 2)[2]
+    acc_x_arr, acc_y_arr = settle_tilt(step, n)[2]
     # The first non-finite gyro or accelerometer sample, one column's mask
     # at a time, so that no temporary of all three is added.
     bad = [np.isfinite(c).argmin() for c in (gyro_arr, acc_x_arr, acc_y_arr)

@@ -188,15 +188,17 @@ class BiasEstimate:
     minimum: float
     maximum: float
     window_means: tuple
-    n_samples: int
 
 
-def estimate_static_bias(values, window=100_000):
+BIAS_WINDOW = 100_000  # samples per block of BiasEstimate.window_means
+
+
+def estimate_static_bias(values):
     """Bias of a channel recorded at rest: its compensated-sum mean.
 
     ``values`` is the channel's 1-D column (e.g. ``RawLog.gyro_dps``).
     Diagnostics report the min, max and the means over consecutive
-    ``window``-sample blocks (a single block when the log is shorter than
+    BIAS_WINDOW-sample blocks (a single block when the log is shorter than
     one window), so a caller can reject drifting logs.
     """
     values = np.asarray(values, dtype=float)
@@ -204,15 +206,14 @@ def estimate_static_bias(values, window=100_000):
         raise ParameterError(f"a bias needs a nonempty 1-D column, got shape {values.shape}")
     n = values.size
     bias = fsum(values) / n
-    n_windows = n // window
+    n_windows = n // BIAS_WINDOW
     if n_windows == 0:
         means = (bias,)
     else:
-        means = tuple(fsum(values[i * window:(i + 1) * window]) / window
+        means = tuple(fsum(values[i * BIAS_WINDOW:(i + 1) * BIAS_WINDOW]) / BIAS_WINDOW
                       for i in range(n_windows))
     return BiasEstimate(bias=bias, minimum=float(np.min(values)),
-                        maximum=float(np.max(values)), window_means=means,
-                        n_samples=n)
+                        maximum=float(np.max(values)), window_means=means)
 
 
 @dataclass
@@ -397,10 +398,9 @@ def tune_filter(variant, corrected, ref_phi, dt, cfg: OptimizerConfig, x0=None,
 
     try:
         opt = nelder_mead(objective, vec0, cfg)
-    except OptimizationFailure as exc:
+    except OptimizationFailure:
         raise OptimizationFailure(
-            f"no stable {variant} parameters found from seed {list(x0)}",
-            best=exc.best) from None
+            f"no stable {variant} parameters found from seed {list(x0)}") from None
 
     params = params_from_vector(opt.x)
     spec = make_filter(variant, params, dt)

@@ -92,12 +92,12 @@ class TestNoiseSpectrum:
 
 class TestSpectrumArea:
     def test_zero(self):
-        sp = Spectrum(np.linspace(0, 50, 65), np.zeros(65), 0.01, 128)
+        sp = Spectrum(np.linspace(0, 50, 65), np.zeros(65))
         assert spectrum_area(sp) == 0.0
 
     def test_flat_rectangle(self):
         F = 50.0
-        sp = Spectrum(np.linspace(0.0, F, 201), np.ones(201), 0.01, 400)
+        sp = Spectrum(np.linspace(0.0, F, 201), np.ones(201))
         assert spectrum_area(sp) == pytest.approx(F, rel=1e-12)
 
 

@@ -60,6 +60,22 @@ class TestConfig:
         with pytest.raises(ParseError):
             parse_config_text("dt_ms=ten\nN_drive=100\n")
 
+    def test_repeated_key(self):
+        # a second alpha used to win silently
+        with pytest.raises(ParseError, match=r"key 'alpha' is set twice, on lines 3 and 5 "
+                                             r"\(line 5\)"):
+            parse_config_text("dt_ms=10\nN_drive=100\nalpha=0.1\n# again\nalpha=0.5\n")
+
+    @pytest.mark.parametrize("key, value", [("dt_ms", "1_0"), ("N_drive", "1_024"),
+                                            ("alpha", "0.000_1"), ("seed", "\uff11"),
+                                            ("dt_ms", "\uff11\uff10")])
+    def test_numbers_follow_the_log_rule(self, key, value):
+        # int() and float() read these; the CSV logs refuse them, and so does a config
+        values = {"dt_ms": "10", "N_drive": "100", key: value}
+        text = "".join(f"{k}={v}\n" for k, v in values.items())
+        with pytest.raises(ParseError, match=f"bad value '{value}' for key '{key}'"):
+            parse_config_text(text)
+
     def test_every_key_parses_to_its_annotated_type(self):
         # every key set to "7" (the str keys to a name): float keys must
         # read 7.0, int keys 7
@@ -634,6 +650,39 @@ class TestCommands:
         # reference ones (the exact-recovery contract is tested in tuning)
         assert values["poly_x_1"] == pytest.approx(ref.SCALE_POLY_X[0], abs=5e-3)
         assert values["poly_y_1"] == pytest.approx(ref.SCALE_POLY_Y[0], abs=5e-2)
+
+    def test_calibrate_scale_fit_bytes(self, tmp_path):
+        # the deflection sweep above (0 to 259.2 deg and back, at N_ref =
+        # 2000); calibration.cfg holds, as repr lines, the fits against
+        # g*sin and g*cos of the reference tilt
+        from tiltkit.correction import scale_factor
+        from tiltkit.tuning import fit_scale_factor
+        cfg_path, cfg = write_config(
+            tmp_path, accel_bias_x_mps2=ref.ACCEL_BIAS_X_MPS2,
+            accel_bias_y_mps2=ref.ACCEL_BIAS_Y_MPS2)
+        n, step = 721, 4
+        counts = np.concatenate([np.full(n // 2, step), np.full(n - n // 2, -step)])
+        phi_r = np.radians(np.cumsum(counts) * 360.0 / cfg.N_ref)
+        ax, ay = ref.GRAVITY * np.sin(phi_r), ref.GRAVITY * np.cos(phi_r)
+        path = tmp_path / "deflect.csv"
+        write_log(path, RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n),
+                               acc_x_mps2=ax + scale_factor(ax, ref.SCALE_POLY_X)
+                               + ref.ACCEL_BIAS_X_MPS2,
+                               acc_y_mps2=ay + scale_factor(ay, ref.SCALE_POLY_Y)
+                               + ref.ACCEL_BIAS_Y_MPS2,
+                               enc_count=np.zeros(n, dtype=int), ref_count=counts))
+        assert main(["calibrate", "--config", str(cfg_path), "--log", str(path),
+                     "--out", str(tmp_path / "cal")]) == 0
+        log = parse_log(path)
+        ref_rad = np.radians(accumulate_reference(log.ref_count, cfg.N_ref))
+        fits = [fit_scale_factor(np.column_stack([log.acc_x_mps2 - cfg.accel_bias_x_mps2,
+                                                  ref.GRAVITY * np.sin(ref_rad)])),
+                fit_scale_factor(np.column_stack([log.acc_y_mps2 - cfg.accel_bias_y_mps2,
+                                                  ref.GRAVITY * np.cos(ref_rad)]))]
+        want = [f"poly_{axis}_{i}={c!r}" for axis, fit in zip("xy", fits)
+                for i, c in enumerate(fit.coefficients, start=1)]
+        want.append(f"# scale fit mse_x={fits[0].mse!r} mse_y={fits[1].mse!r}")
+        assert (tmp_path / "cal" / "calibration.cfg").read_text() == "\n".join(want) + "\n"
 
     def test_tune_emits_row_with_stability(self, tmp_path, capsys):
         from tiltkit.model import default_dynamic_profile, simulate_run

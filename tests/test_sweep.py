@@ -89,11 +89,11 @@ def row_steps(monkeypatch):
     rows = []
     settle = correction.settle_tilt
 
-    def spy(step, n, extras):
+    def spy(step, n):
         def counted(prev, start, stop):
             rows.append(stop - start)
             return step(prev, start, stop)
-        return settle(counted, n, extras)
+        return settle(counted, n)
 
     monkeypatch.setattr(correction, "settle_tilt", spy)
     monkeypatch.setattr(model, "settle_tilt", spy)
