@@ -4,7 +4,9 @@
 # calibrate and spectrum on the simulated log, in a fresh temporary
 # directory outside the checkout.  simulate's log.csv must start with the
 # 5-column header: it has no reference channel, so no ref_count column, and
-# tune, which needs one, is not run.  A flag the command does not read, and
+# tune, which needs one, is not run.  run's estimate.csv must hold only
+# t,phi_hat_deg, and the corrected stream and its motion terms only under
+# --debug-intermediates; eval of it must exit 0.  A flag the command does not read, and
 # the prefix of one it does, must be a usage error (exit 2).  A run whose
 # estimates overflow to inf (alpha=1e300), a simulation whose sensor
 # columns do (gyro_bias_dps=1e300) and a run whose motion terms do
@@ -22,7 +24,23 @@ if [ "$header" != "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count" ]; then
   exit 1
 fi
 "$tiltkit" run --config run.cfg --out out --log out/log.csv
-"$tiltkit" eval --config run.cfg --out out --log out/estimate.csv --truth out/truth.csv
+header="$(head -n 1 out/estimate.csv)"
+if [ "$header" != "t,phi_hat_deg" ]; then
+  echo "run's estimate.csv starts with '$header', want 't,phi_hat_deg'"
+  exit 1
+fi
+"$tiltkit" run --config run.cfg --out debug --log out/log.csv --debug-intermediates
+header="$(head -n 1 debug/estimate.csv)"
+if [ "$header" != "t,phi_hat_deg,phi_bar_deg,rate_bar_dps,a_c,a_e,a_t,a_t_x,a_t_y" ]; then
+  echo "run --debug-intermediates wrote '$header', want the corrected stream and its terms"
+  exit 1
+fi
+code=0
+"$tiltkit" eval --config run.cfg --out out --log out/estimate.csv --truth out/truth.csv || code=$?
+if [ "$code" -ne 0 ]; then
+  echo "eval of the smoke run's estimate.csv exited $code, want 0"
+  exit 1
+fi
 "$tiltkit" calibrate --config run.cfg --out out --log out/log.csv
 "$tiltkit" spectrum --config run.cfg --out out --log out/log.csv --channel gyro_dps
 code=0

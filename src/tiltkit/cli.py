@@ -227,10 +227,11 @@ def cmd_run(config, args):
     spec = filters.make_filter(config.variant, filter_params, config.dt)
     phi_hat = filters.run_filter(spec, (corrected.phi_bar, corrected.rate_bar))
 
-    header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
-    columns = [log.t, phi_hat, corrected.phi_bar, corrected.rate_bar]
+    header = ["t", "phi_hat_deg"]
+    columns = [log.t, phi_hat]
     if args.debug_intermediates:
-        header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+        header += ["phi_bar_deg", "rate_bar_dps", "a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+        columns += [corrected.phi_bar, corrected.rate_bar]
         columns += [getattr(corrected, name) for name in header[4:]]
     write_columns(_outpath(args, "estimate.csv"), header, columns)
     print(f"# wrote estimate.csv ({len(log)} samples)")
@@ -252,9 +253,10 @@ def _column(columns, name, path):
 
 
 def cmd_eval(config, args):
-    est_cols = read_columns(args.log)
+    est_names = [args.est_column] if args.truth else [args.est_column, args.ref_column]
+    est_cols = read_columns(args.log, est_names)
     ref_path = args.truth or args.log
-    ref_cols = read_columns(args.truth) if args.truth else est_cols
+    ref_cols = read_columns(args.truth, [args.ref_column]) if args.truth else est_cols
     est = _column(est_cols, args.est_column, args.log)
     ref = _column(ref_cols, args.ref_column, ref_path)
     if len(est) != len(ref):
@@ -267,7 +269,7 @@ def cmd_eval(config, args):
 
 
 def cmd_spectrum(config, args):
-    columns = read_columns(args.log)
+    columns = read_columns(args.log, ["t", args.channel])
     if "t" in columns:
         check_dt_matches(config, _column(columns, "t", args.log))
     signal = _column(columns, args.channel, args.log)

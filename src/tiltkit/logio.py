@@ -131,10 +131,13 @@ def _blank_field(kind, flags):
     return convert
 
 
-def _read_rows(path, log=False):
-    """A CSV file's header (checked and stripped for a log), its rows parsed
-    by ``np.loadtxt`` into a 2-d float array (for a log, a structured one
-    with int64 counts), and the empty-field flags of each converted column."""
+def _read_rows(path, log=False, names=None):
+    """A CSV file's header (checked and stripped for a log), the indices of
+    the columns read, its rows parsed by ``np.loadtxt`` into a 2-d float
+    array of those columns (for a log, a structured one with int64 counts),
+    and the empty-field flags of each converted column, keyed by index.
+    With ``names``, the columns read are those of the header's names in
+    ``names``, and its last column, which refuses a row that is short."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
@@ -146,10 +149,13 @@ def _read_rows(path, log=False):
     elif len(set(header)) < len(header):
         name = next(h for c, h in enumerate(header) if h in header[:c])
         raise ParseError(f"header repeats the column name {name!r}", line=1, column=name)
+    cols = range(len(header)) if names is None else [
+        c for c, n in enumerate(header) if n in names or c == len(header) - 1]
     dtype = np.dtype([(n, np.int64 if n in _COUNTS else float) for n in header] if log else float)
     # A read without converters; if it fails, one with a converter on every
     # column whose fields may be empty: the counts of a log, any column else.
-    blank = {c for c, n in enumerate(header) if not log or n in _COUNTS}
+    # numpy keys converters by the column's index in the file.
+    blank = {c for c in cols if not log or header[c] in _COUNTS}
     for columns in (set(), blank):
         flags = {c: [] for c in columns}
         try:
@@ -157,11 +163,12 @@ def _read_rows(path, log=False):
                 next(csv.reader(fh))
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 converters = {c: _blank_field(int if log else float, f) for c, f in flags.items()}
-                return header, np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"',
-                                          converters=converters, ndmin=1 if log else 2), flags
+                return header, cols, np.loadtxt(
+                    fh, dtype, delimiter=",", comments=None, quotechar='"', converters=converters,
+                    ndmin=1 if log else 2, usecols=None if names is None else cols), flags
         except (ValueError, OverflowError):
             continue
-    _raise_first_bad_field(path, header, log)
+    _raise_first_bad_field(path, header, log, [header[c] for c in cols])
 
 
 def parse_log(path):
@@ -172,14 +179,16 @@ def parse_log(path):
     for malformed rows and non-finite numbers, :class:`OrderingError` if
     timestamps do not strictly increase.
     """
-    header, rows, flags = _read_rows(path, log=True)
+    header, _, rows, flags = _read_rows(path, log=True)
     if (not all(np.isfinite(rows[name]).all() for name in header[:4])
             or (np.diff(rows["t"]) <= 0).any()):
         _raise_first_bad_field(path, header, log=True)
     # A 6-column log whose ref_count is empty on every row has no channel.
     ref_given = len(header) == 6 and len(rows) and not all(flags.get(5, [False]))
-    return RawLog(*(np.ascontiguousarray(rows[name]) for name in header[:5]),
-                  np.ascontiguousarray(rows["ref_count"]) if ref_given else None,
+    # The columns are views of numpy's one structured array: copies would
+    # hold the log's values twice while they are made.
+    return RawLog(*(rows[name] for name in header[:5]),
+                  rows["ref_count"] if ref_given else None,
                   np.array(flags[4], dtype=bool) if 4 in flags else None)
 
 
@@ -242,29 +251,44 @@ def write_truth(path, truth):
                   "\r\n")
 
 
-def read_columns(path):
+def read_columns(path, names=None):
     """Read any tiltkit-written CSV back as {column: float ndarray}.
 
+    With ``names``, only the columns of those names that the header has
+    are returned, and the file's last column is read besides them.
     Empty fields become NaN.  Raises :class:`ParseError` (line and column)
-    for a field that is not a number or is a non-finite one, and on line 1
-    for a header that repeats a column name.  Used by the
-    ``eval`` and ``spectrum`` commands and by round-trip tests.  Parsed as
+    for a field of a column read that is not a number or is a non-finite
+    one, for a row without one field per header name, and on line 1 for a
+    header that repeats a column name.  Used by the ``eval`` and
+    ``spectrum`` commands and by round-trip tests.  Parsed as
     :func:`parse_log` is; a file with an empty field is read again with a
-    converter on every column.
+    converter on every column read.
     """
-    header, rows, flags = _read_rows(path)
+    header, cols, rows, flags = _read_rows(path, names=names)
+    keep = [header[c] for c in cols if names is None or header[c] in names]
     if not len(rows):
-        return {name: np.empty(0) for name in header}
-    # Every non-finite value must come from an empty field.
-    if rows.shape[1] != len(header) or not all(
-            (np.isfinite(rows[:, c]) | flags.get(c, False)).all() for c in range(len(header))):
-        _raise_first_bad_field(path, header)
-    return dict(zip(header, rows.T.copy()))
+        return {name: np.empty(0) for name in keep}
+    # Every non-finite value must come from an empty field.  numpy's usecols
+    # ignores a row's extra fields, so a selection also counts the file's
+    # commas: with the last column read, no row has fewer than one per gap
+    # between header names, so the count holds only if none has more.
+    if (rows.shape[1] != len(cols) or not all(
+            (np.isfinite(rows[:, j]) | flags.get(c, False)).all() for j, c in enumerate(cols))
+            or names is not None and _commas(path) != (len(header) - 1) * (len(rows) + 1)):
+        _raise_first_bad_field(path, header, columns=[header[c] for c in cols])
+    return dict(zip(keep, rows[:, :len(keep)].T.copy()))
 
 
-def _raise_first_bad_field(path, names, log=False):
+def _commas(path):
+    """The number of ``,`` bytes in a file, read a MiB at a time."""
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _raise_first_bad_field(path, names, log=False, columns=None):
     """Re-read a CSV file that numpy refused, a row at a time, and raise
-    ParseError (line and column) for its first bad row or field.  Fields
+    ParseError (line and column) for its first row without one field per
+    name or bad field of the ``columns`` read (all by default).  Fields
     may be empty or finite numbers; in a log only counts may be empty, they
     must be int64 integers, and ``t`` must increase (OrderingError)."""
     with open(path, newline="") as fh:
@@ -276,7 +300,8 @@ def _raise_first_bad_field(path, names, log=False):
                 raise ParseError(f"expected {len(names)} fields, got {len(row)}", line=line_no)
             for name, text in zip(names, row):
                 count = log and name in _COUNTS
-                if not text.strip() and (count or not log):
+                if columns is not None and name not in columns or (
+                        not text.strip() and (count or not log)):
                     continue
                 try:
                     value = number(text, int if count else float)

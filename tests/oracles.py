@@ -408,15 +408,16 @@ def rowwise_trajectories_csv(path, columns):
 
 def rowwise_estimate_csv(path, t, phi_hat, corrected, debug_intermediates=False):
     """``tiltkit run``'s estimate.csv, one CorrectedSample per row."""
-    header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
+    header = ["t", "phi_hat_deg"]
     if debug_intermediates:
-        header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+        header += ["phi_bar_deg", "rate_bar_dps", "a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for k, c in enumerate(corrected):
-            row = [repr(float(t[k])), repr(float(phi_hat[k])), repr(c.phi_bar), repr(c.rate_bar)]
+            row = [repr(float(t[k])), repr(float(phi_hat[k]))]
             if debug_intermediates:
-                row += [repr(c.a_c), repr(c.a_e), repr(c.a_t), repr(c.a_t_x), repr(c.a_t_y)]
+                row += [repr(c.phi_bar), repr(c.rate_bar), repr(c.a_c), repr(c.a_e), repr(c.a_t),
+                        repr(c.a_t_x), repr(c.a_t_y)]
             fh.write(",".join(row) + "\n")
 
 

@@ -131,9 +131,11 @@ class TestCommands:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--log", str(out / "log.csv"), "--debug-intermediates"]) == 0
-        cols = read_columns(out / "estimate.csv")
-        for name in ("a_c", "a_e", "a_t", "a_t_x", "a_t_y"):
-            assert name in cols
+        assert (out / "estimate.csv").read_text().split("\n", 1)[0] == \
+            "t,phi_hat_deg,phi_bar_deg,rate_bar_dps,a_c,a_e,a_t,a_t_x,a_t_y"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--log", str(out / "log.csv")]) == 0
+        assert (out / "estimate.csv").read_text().split("\n", 1)[0] == "t,phi_hat_deg"
 
     def test_run_reproducible_bytes(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, gyro_noise_std_dps=0.17,
@@ -546,6 +548,43 @@ class TestCommands:
         assert "line 3, column phi_hat_deg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rows, line", [(["0.01,0.1", "0.02,0.1,0.2"], 3),
+                                            (["0.01,0.1,0.2,0.3", "0.02,0.1,0.2"], 3),
+                                            (["0.01,0.1,0.2", "0.02,0.1,0.2,"], 4)],
+                             ids=["short", "long", "trailing_comma"])
+    @pytest.mark.parametrize("command", ["eval", "spectrum"])
+    def test_row_with_wrong_field_count_exit_3(self, tmp_path, capsys, command, rows, line):
+        # a row of too few or too many fields, whichever columns are read
+        cfg_path, _ = write_config(tmp_path)
+        est = tmp_path / "est.csv"
+        est.write_text("t,phi_hat_deg,phi_deg\n0,0.1,0.1\n" + "".join(r + "\n" for r in rows))
+        argv = [command, "--config", str(cfg_path), "--log", str(est),
+                "--out", str(tmp_path / "out")]
+        if command == "spectrum":
+            argv += ["--channel", "phi_hat_deg"]
+        assert main(argv) == 3
+        assert f"line {line})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_reads_only_the_columns_it_scores(self, tmp_path, capsys):
+        # a bad field in a truth column eval does not score, and not the
+        # file's last, is not read
+        cfg_path, _ = write_config(tmp_path, duration_s=0.5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--log", str(out / "log.csv")]) == 0
+        truth = (out / "truth.csv").read_bytes().split(b"\r\n")
+        fields = truth[3].split(b",")
+        fields[4] = b"abc"  # x_m
+        (tmp_path / "truth.csv").write_bytes(b"\r\n".join(truth[:3] + [b",".join(fields)]
+                                                          + truth[4:]))
+        for name, path in (("clean", out / "truth.csv"), ("bad", tmp_path / "truth.csv")):
+            assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / name),
+                         "--log", str(out / "estimate.csv"), "--truth", str(path)]) == 0
+        assert (tmp_path / "bad" / "eval.txt").read_bytes() == \
+            (tmp_path / "clean" / "eval.txt").read_bytes()
+
     def test_eval_repeated_column_name_exit_3(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)
         est = tmp_path / "est.csv"
@@ -624,7 +663,7 @@ class TestCommands:
             accel_bias_y_mps2=ref.ACCEL_BIAS_Y_MPS2)
         n = 721
         N_ref = cfg.N_ref
-        step = 4  # pulses per sample: sweeps +/- ~65 deg
+        step = 4  # pulses per sample: 0 to 259.2 deg and back at N_ref = 2000
         counts = np.concatenate([np.full(n // 2, step), np.full(n - n // 2, -step)])
         phi = np.cumsum(counts) * 360.0 / N_ref
         phi_r = np.radians(phi)

@@ -234,11 +234,11 @@ def test_estimate_rows_match_rowwise_writer(tmp_path, n, debug):
     names = ("phi_bar", "rate_bar", "a_c", "a_e", "a_t", "a_t_x", "a_t_y")
     corrected = [SimpleNamespace(**dict(zip(names, row)))
                  for row in np.array(fields).T.tolist()]
-    header = ["t", "phi_hat_deg", "phi_bar_deg", "rate_bar_dps"]
-    columns = [t, phi_hat] + fields[:2]
+    header = ["t", "phi_hat_deg"]
+    columns = [t, phi_hat]
     if debug:
-        header += ["a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
-        columns += fields[2:]
+        header += ["phi_bar_deg", "rate_bar_dps", "a_c", "a_e", "a_t", "a_t_x", "a_t_y"]
+        columns += fields
     write_columns(tmp_path / "new.csv", header, columns)
     rowwise_estimate_csv(tmp_path / "old.csv", t, phi_hat, corrected, debug)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

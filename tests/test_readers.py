@@ -7,6 +7,7 @@ by (type, line, column).
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,21 +26,25 @@ def lines(header, *rows, end="\n"):
     return "".join(line + end for line in (header,) + rows)
 
 
-def _bytes(array):
+def _bytes(array, layout=True):
+    """An array's dtype, shape, flags and bytes; its C-contiguity only with
+    ``layout``."""
     if array is None:
         return None
-    return (array.dtype.str, array.shape, array.flags.c_contiguous, array.flags.writeable,
-            array.tobytes())
+    return (array.dtype.str, array.shape, layout and array.flags.c_contiguous,
+            array.flags.writeable, array.tobytes())
 
 
 def outcome(read, path):
-    """A reader's result as bytes per column, or its error's (type, line, column)."""
+    """A reader's result as bytes per column, or its error's (type, line, column).
+    A log's columns are compared without their layout: ``parse_log``'s are
+    views of one structured array (see ``test_parse_log_columns_share_one_array``)."""
     try:
         result = read(path)
     except TiltkitError as exc:
         return type(exc), exc.line, exc.column
     if isinstance(result, RawLog):
-        return {name: _bytes(getattr(result, name))
+        return {name: _bytes(getattr(result, name), layout=False)
                 for name in ("t", "gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count",
                              "ref_count", "enc_missing")}
     return {name: _bytes(column) for name, column in result.items()}
@@ -196,6 +201,60 @@ def test_read_columns_refuses_repeated_header_name(tmp_path, header, name):
     assert outcome(read_columns, path) == (ParseError, 1, name)
 
 
+SELECTED = "a,b,c"
+
+
+@pytest.mark.parametrize("names", [["a"], ["b"], ["c"], ["a", "c"], [], ["z"]])
+@pytest.mark.parametrize("text, line", [
+    (lines(SELECTED, "1,2,3", "4,5", "7,8,9"), 3),
+    (lines(SELECTED, "1,2,3", "4,5,6,7", "7,8,9"), 3),
+    (lines(SELECTED, "1,2", "4,5"), 2),
+    (lines(SELECTED, "1,2,3,4", "4,5,6,7"), 2),
+    (lines(SELECTED, "1,2,3", "4,5,6", "", "7"), 5),
+    (lines(SELECTED, "1,2,3", "4,5,6,", "7,8,9", end="\r\n"), 3),
+    (lines(SELECTED, "1,2,3", "4,5,6", "7,8,9,10,11,12"), 4),
+    (lines(SELECTED, "1,2,3", "4,5", "7,8,9,10"), 3),
+], ids=["short", "long", "every_row_short", "every_row_long", "one_field_after_blank_line",
+        "trailing_comma", "long_last_row", "short_then_long"])
+def test_selection_refuses_rows_of_wrong_width(tmp_path, names, text, line):
+    # numpy's usecols alone ignores extra fields and, without the last
+    # column, missing ones, and a short and a long row leave the comma count
+    # right; a selection refuses such a row on the line the full read names
+    path = tmp_path / "cols.csv"
+    path.write_text(text)
+    assert outcome(read_columns, path) == (ParseError, line, None)
+    assert outcome(lambda p: read_columns(p, names), path) == (ParseError, line, None)
+
+
+@pytest.mark.parametrize("field", ["abc", "nan", "-inf", "1e400", "1_0"])
+def test_selection_accepts_a_bad_field_in_a_column_not_read(tmp_path, field):
+    # b is neither selected nor the file's last column, so it is not read;
+    # a read of it still refuses the field, naming its line and column
+    path = tmp_path / "cols.csv"
+    path.write_text(lines(SELECTED, "1,2,3", f"4,{field},6"))
+    assert outcome(read_columns, path) == (ParseError, 3, "b")
+    assert outcome(lambda p: read_columns(p, ["b"]), path) == (ParseError, 3, "b")
+    assert outcome(lambda p: read_columns(p, ["a"]), path) == {"a": _bytes(np.array([1.0, 4.0]))}
+
+
+def test_selection_refuses_a_quoted_comma_without_a_line(tmp_path):
+    # the comma count sees the quoted ',' as a sixth gap; the row-wise
+    # locator, which checks only the columns read, finds no bad row to name
+    path = tmp_path / "cols.csv"
+    path.write_text(lines(SELECTED, "1,2,3", '4,"1,5",6'))
+    assert outcome(read_columns, path) == (ParseError, 3, "b")
+    assert outcome(lambda p: read_columns(p, ["a"]), path) == (ParseError, None, None)
+
+
+@pytest.mark.parametrize("field, column", [("abc", "c"), ("abc", "a"), ("inf", "c")])
+def test_selection_checks_the_columns_it_reads(tmp_path, field, column):
+    # the last column is read whatever is selected
+    path = tmp_path / "cols.csv"
+    row = {"a": f"{field},5,6", "c": f"4,5,{field}"}[column]
+    path.write_text(lines(SELECTED, "1,2,3", row))
+    assert outcome(lambda p: read_columns(p, ["a"]), path) == (ParseError, 3, column)
+
+
 @pytest.mark.parametrize("row, column", [
     ("0.0,0,0,9.8,9223372036854775808,0", "enc_count"),
     ("0.0,0,0,9.8,-9223372036854775809,0", "enc_count"),
@@ -209,6 +268,26 @@ def test_out_of_range_count_raises_parse_error(tmp_path, row, column):
     with pytest.raises(ParseError) as exc:
         parse_log(path)
     assert (exc.value.line, exc.value.column) == (3, column)
+
+
+def test_parse_log_columns_share_one_array(tmp_path):
+    # the columns are views of numpy's structured array, not copies of it,
+    # so a log's values are held once: a 200,000-row log of 48 bytes a row
+    # peaks near the array's 9.6 MB, where copying the columns out peaked
+    # at twice that
+    n = 200_000
+    path = tmp_path / "log.csv"
+    path.write_text(lines(H6, *(f"{k * 0.001!r},0.1,0.0,9.8,1,{k}" for k in range(n))))
+    tracemalloc.start()
+    try:
+        log = parse_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = [log.t, log.gyro_dps, log.acc_x_mps2, log.acc_y_mps2, log.enc_count, log.ref_count]
+    assert all(c.base is not None and c.base is log.t.base for c in columns)
+    assert peak < 1.5 * 48 * n
+    assert log.ref_count[-1] == n - 1 and log.t[-1] == (n - 1) * 0.001
 
 
 def _python_calls(read, path):
@@ -296,13 +375,13 @@ def test_write_log_parse_log_round_trip(tmp_path, data):
     back = parse_log(path)
     for name, key in (("t", "t"), ("gyro_dps", "gyro"), ("acc_x_mps2", "acc_x"),
                       ("acc_y_mps2", "acc_y"), ("enc_missing", "missing")):
-        assert _bytes(getattr(back, name)) == _bytes(c[key]), name
-    assert _bytes(back.enc_count) == _bytes(np.where(c["missing"], 0, c["enc"]))
+        assert _bytes(getattr(back, name), False) == _bytes(c[key], False), name
+    assert _bytes(back.enc_count, False) == _bytes(np.where(c["missing"], 0, c["enc"]), False)
     given_ref = {"full": np.ones(len(c["t"]), bool), "partly": ~c["ref_blank"]}.get(mode)
     if given_ref is None or not given_ref.any():
         assert back.ref_count is None
     else:
-        assert _bytes(back.ref_count) == _bytes(np.where(given_ref, c["ref"], 0))
+        assert _bytes(back.ref_count, False) == _bytes(np.where(given_ref, c["ref"], 0), False)
     assert outcome(parse_log, path) == outcome(rowwise_parse_log, path)
 
 
@@ -393,6 +472,22 @@ def test_read_columns_matches_rowwise_on_messy_files(tmp_path, text):
     path = tmp_path / "cols.csv"
     path.write_bytes(text.encode())
     assert outcome(read_columns, path) == outcome(rowwise_read_columns, path)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_read_columns_selection_is_the_full_read_restricted(tmp_path, data):
+    # whenever the full read succeeds, a selection reads the same values
+    # of the columns it names and leaves out the rest
+    text = data.draw(messy_file(log=data.draw(st.booleans(), label="log")), label="text")
+    names = data.draw(st.lists(st.sampled_from(["c0", "c1", "c2", "c3", "absent"] + CSV_HEADER),
+                               max_size=4), label="names")
+    path = tmp_path / "cols.csv"
+    path.write_bytes(text.encode())
+    full = outcome(read_columns, path)
+    if isinstance(full, dict):
+        restricted = {name: value for name, value in full.items() if name in names}
+        assert outcome(lambda p: read_columns(p, names), path) == restricted
 
 
 def test_messy_files_reach_every_outcome(tmp_path):
