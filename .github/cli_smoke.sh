@@ -6,8 +6,11 @@
 # 5-column header: it has no reference channel, so no ref_count column, and
 # tune, which needs one, is not run.  run's estimate.csv must hold only
 # t,phi_hat_deg, and the corrected stream and its motion terms only under
-# --debug-intermediates; eval of it must exit 0.  A flag the command does not read, and
-# the prefix of one it does, must be a usage error (exit 2).  A run whose
+# --debug-intermediates; eval of it must exit 0, and so must eval against a
+# truth.csv whose last, unscored column holds abc on one row, writing the
+# same eval.txt; a truth.csv with a row one field short must exit 3.  A flag
+# the command does not read, and the prefix of one it does, must be a usage
+# error (exit 2).  A run whose
 # estimates overflow to inf (alpha=1e300), a simulation whose sensor
 # columns do (gyro_bias_dps=1e300) and a run whose motion terms do
 # (gyro_bias_dps=1e300) must exit 4 and write nothing.
@@ -39,6 +42,24 @@ code=0
 "$tiltkit" eval --config run.cfg --out out --log out/estimate.csv --truth out/truth.csv || code=$?
 if [ "$code" -ne 0 ]; then
   echo "eval of the smoke run's estimate.csv exited $code, want 0"
+  exit 1
+fi
+sed '3s/,[^,]*\r$/,abc\r/' out/truth.csv > unscored.csv
+if cmp -s out/truth.csv unscored.csv; then
+  echo "no a_t_mps2 field of truth.csv was replaced"
+  exit 1
+fi
+code=0
+"$tiltkit" eval --config run.cfg --out unscored --log out/estimate.csv --truth unscored.csv || code=$?
+if [ "$code" -ne 0 ] || ! cmp -s out/eval.txt unscored/eval.txt; then
+  echo "eval against a truth.csv with abc in a_t_mps2 exited $code, want 0 and the clean eval.txt"
+  exit 1
+fi
+sed '3s/,[^,]*\r$/\r/' out/truth.csv > short.csv
+code=0
+"$tiltkit" eval --config run.cfg --out short --log out/estimate.csv --truth short.csv || code=$?
+if [ "$code" -ne 3 ]; then
+  echo "eval against a truth.csv with a row one field short exited $code, want 3"
   exit 1
 fi
 "$tiltkit" calibrate --config run.cfg --out out --log out/log.csv

@@ -228,10 +228,12 @@ def motion_terms(rate_bar, enc_count, state, params):
 def correction_pipeline_step(raw, params, state):
     """Run one raw sample through the full correction chain.
 
-    Returns ``(CorrectedSample, CorrectionState)``.  Every sample takes its
-    tilt from :func:`tilt_or_previous`, the first on the state's vertical
-    prior.  The first sample holds zero motion terms and seeds the rate
-    low-pass from the first corrected rate, the velocity low-pass from zero.
+    ``raw`` is any object with the attributes ``gyro_dps``, ``acc_x_mps2``,
+    ``acc_y_mps2``, ``enc_count`` and ``enc_missing``.  Returns
+    ``(CorrectedSample, CorrectionState)``.  Every sample takes its tilt
+    from :func:`tilt_or_previous`, the first on the state's vertical prior.
+    The first sample holds zero motion terms and seeds the rate low-pass
+    from the first corrected rate, the velocity low-pass from zero.
     Like :func:`correct_columns`, it raises ParameterError, without numpy's
     warnings, where a motion term overflows and ``rate_bar`` is finite.
     """

@@ -1,9 +1,12 @@
 """Raw sensor logs and their on-disk CSV format.
 
 A raw log is stored column-wise (one numpy array per channel), and the
-readers parse rows with numpy's C reader (``np.loadtxt``), so that a
+readers parse a file with numpy's C reader (``np.loadtxt``) into one
+structured array with a field per header column, so that a
 multi-million-row file never materialises one Python object per row.
-Iteration and indexing hand out :class:`RawSample` views on demand.
+numpy refuses a row without one field per header name.  A read of some
+columns parses only those: the others are zero-width text fields, which
+take any text.
 
 CSV layout (fixed header, decimal point, no locale formatting)::
 
@@ -23,9 +26,7 @@ non-finite value, as the readers do.  Rows of ``log.csv`` and
 ``spectrum.csv`` end in LF.
 """
 
-from dataclasses import dataclass
 from math import inf, isfinite, nan
-from typing import Optional
 
 import csv
 import warnings
@@ -37,21 +38,8 @@ from .errors import OrderingError, ParameterError, ParseError
 CSV_HEADER = ["t", "gyro_dps", "acc_x_mps2", "acc_y_mps2", "enc_count", "ref_count"]
 
 
-@dataclass
-class RawSample:
-    """One timestamped frame of uncorrected sensor outputs."""
-
-    t: float                        # seconds
-    gyro_dps: float                 # gyro rate, degrees/second
-    acc_x_mps2: float               # accelerometer x' axis, m/s^2
-    acc_y_mps2: float               # accelerometer y' axis, m/s^2
-    enc_count: int                  # drive-encoder pulses counted this period
-    ref_count: Optional[int] = None  # reference-encoder pulses, optional
-    enc_missing: bool = False       # True when the field was empty in the source
-
-
 class RawLog:
-    """Column-wise container of raw samples, indexable like a sequence."""
+    """Column-wise container of raw samples."""
 
     def __init__(self, t, gyro_dps, acc_x_mps2, acc_y_mps2, enc_count,
                  ref_count=None, enc_missing=None):
@@ -74,26 +62,6 @@ class RawLog:
 
     def __len__(self):
         return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return RawLog(self.t[k], self.gyro_dps[k], self.acc_x_mps2[k],
-                          self.acc_y_mps2[k], self.enc_count[k],
-                          None if self.ref_count is None else self.ref_count[k],
-                          self.enc_missing[k])
-        return RawSample(
-            t=float(self.t[k]),
-            gyro_dps=float(self.gyro_dps[k]),
-            acc_x_mps2=float(self.acc_x_mps2[k]),
-            acc_y_mps2=float(self.acc_y_mps2[k]),
-            enc_count=int(self.enc_count[k]),
-            ref_count=None if self.ref_count is None else int(self.ref_count[k]),
-            enc_missing=bool(self.enc_missing[k]),
-        )
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
 
 
 class TruthLog:
@@ -133,11 +101,13 @@ def _blank_field(kind, flags):
 
 def _read_rows(path, log=False, names=None):
     """A CSV file's header (checked and stripped for a log), the indices of
-    the columns read, its rows parsed by ``np.loadtxt`` into a 2-d float
-    array of those columns (for a log, a structured one with int64 counts),
-    and the empty-field flags of each converted column, keyed by index.
+    the columns read, its rows parsed by ``np.loadtxt`` into one structured
+    array, and the empty-field flags of each converted column, keyed by
+    index.  The array has one field per header column, named by its index:
+    a float (for a log's counts an int64) for a column read, and for any
+    other a zero-width text field, which takes any text and parses none.
     With ``names``, the columns read are those of the header's names in
-    ``names``, and its last column, which refuses a row that is short."""
+    ``names``.  numpy refuses a row without one field per header name."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
@@ -149,12 +119,12 @@ def _read_rows(path, log=False, names=None):
     elif len(set(header)) < len(header):
         name = next(h for c, h in enumerate(header) if h in header[:c])
         raise ParseError(f"header repeats the column name {name!r}", line=1, column=name)
-    cols = range(len(header)) if names is None else [
-        c for c, n in enumerate(header) if n in names or c == len(header) - 1]
-    dtype = np.dtype([(n, np.int64 if n in _COUNTS else float) for n in header] if log else float)
+    cols = [c for c, n in enumerate(header) if names is None or n in names]
+    dtype = np.dtype([(str(c), "U0" if c not in cols else np.int64 if log and n in _COUNTS
+                       else float) for c, n in enumerate(header)])
     # A read without converters; if it fails, one with a converter on every
-    # column whose fields may be empty: the counts of a log, any column else.
-    # numpy keys converters by the column's index in the file.
+    # column read whose fields may be empty: the counts of a log, any column
+    # else.  numpy keys converters by the column's index in the file.
     blank = {c for c in cols if not log or header[c] in _COUNTS}
     for columns in (set(), blank):
         flags = {c: [] for c in columns}
@@ -165,7 +135,7 @@ def _read_rows(path, log=False, names=None):
                 converters = {c: _blank_field(int if log else float, f) for c, f in flags.items()}
                 return header, cols, np.loadtxt(
                     fh, dtype, delimiter=",", comments=None, quotechar='"', converters=converters,
-                    ndmin=1 if log else 2, usecols=None if names is None else cols), flags
+                    ndmin=1), flags
         except (ValueError, OverflowError):
             continue
     _raise_first_bad_field(path, header, log, [header[c] for c in cols])
@@ -180,15 +150,14 @@ def parse_log(path):
     timestamps do not strictly increase.
     """
     header, _, rows, flags = _read_rows(path, log=True)
-    if (not all(np.isfinite(rows[name]).all() for name in header[:4])
-            or (np.diff(rows["t"]) <= 0).any()):
+    if (not all(np.isfinite(rows[str(c)]).all() for c in range(4))
+            or (np.diff(rows["0"]) <= 0).any()):
         _raise_first_bad_field(path, header, log=True)
     # A 6-column log whose ref_count is empty on every row has no channel.
     ref_given = len(header) == 6 and len(rows) and not all(flags.get(5, [False]))
     # The columns are views of numpy's one structured array: copies would
     # hold the log's values twice while they are made.
-    return RawLog(*(rows[name] for name in header[:5]),
-                  rows["ref_count"] if ref_given else None,
+    return RawLog(*(rows[str(c)] for c in range(5)), rows["5"] if ref_given else None,
                   np.array(flags[4], dtype=bool) if 4 in flags else None)
 
 
@@ -255,34 +224,20 @@ def read_columns(path, names=None):
     """Read any tiltkit-written CSV back as {column: float ndarray}.
 
     With ``names``, only the columns of those names that the header has
-    are returned, and the file's last column is read besides them.
-    Empty fields become NaN.  Raises :class:`ParseError` (line and column)
-    for a field of a column read that is not a number or is a non-finite
-    one, for a row without one field per header name, and on line 1 for a
-    header that repeats a column name.  Used by the ``eval`` and
-    ``spectrum`` commands and by round-trip tests.  Parsed as
-    :func:`parse_log` is; a file with an empty field is read again with a
+    are parsed and returned; the others may hold any text.  Empty fields
+    become NaN.  Raises :class:`ParseError` (line and column) for a field
+    of a column read that is not a number or is a non-finite one, for a
+    row without one field per header name, and on line 1 for a header
+    that repeats a column name.  Used by the ``eval`` and ``spectrum``
+    commands and by round-trip tests.  Parsed as :func:`parse_log` is; a
+    file with an empty field in a column read is read again with a
     converter on every column read.
     """
     header, cols, rows, flags = _read_rows(path, names=names)
-    keep = [header[c] for c in cols if names is None or header[c] in names]
-    if not len(rows):
-        return {name: np.empty(0) for name in keep}
-    # Every non-finite value must come from an empty field.  numpy's usecols
-    # ignores a row's extra fields, so a selection also counts the file's
-    # commas: with the last column read, no row has fewer than one per gap
-    # between header names, so the count holds only if none has more.
-    if (rows.shape[1] != len(cols) or not all(
-            (np.isfinite(rows[:, j]) | flags.get(c, False)).all() for j, c in enumerate(cols))
-            or names is not None and _commas(path) != (len(header) - 1) * (len(rows) + 1)):
+    # Every non-finite value must come from an empty field.
+    if not all((np.isfinite(rows[str(c)]) | flags.get(c, False)).all() for c in cols):
         _raise_first_bad_field(path, header, columns=[header[c] for c in cols])
-    return dict(zip(keep, rows[:, :len(keep)].T.copy()))
-
-
-def _commas(path):
-    """The number of ``,`` bytes in a file, read a MiB at a time."""
-    with open(path, "rb") as fh:
-        return sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    return {header[c]: rows[str(c)].copy() for c in cols}
 
 
 def _raise_first_bad_field(path, names, log=False, columns=None):

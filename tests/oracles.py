@@ -14,16 +14,61 @@ time and runs the streaming correction step on each; the row-wise CSV writers
 format one row at a time, through ``csv.writer`` for the logs; the
 row-wise CSV readers parse one field at a time with ``float``/``int``
 into growable ``array.array`` columns.  All stay deliberately separate
-from the package code paths they check.
+from the package code paths they check.  ``RawSample`` and the row and
+slice helpers give the tests per-sample views of a ``RawLog``, which the
+package itself reads only by column.
 """
 
 import csv
 from array import array
+from dataclasses import dataclass
 from math import isfinite, nan
+from typing import Optional
 
 import numpy as np
 
 from tiltkit.errors import OrderingError, ParseError
+from tiltkit.logio import RawLog
+
+
+@dataclass
+class RawSample:
+    """One timestamped frame of uncorrected sensor outputs."""
+
+    t: float                        # seconds
+    gyro_dps: float                 # gyro rate, degrees/second
+    acc_x_mps2: float               # accelerometer x' axis, m/s^2
+    acc_y_mps2: float               # accelerometer y' axis, m/s^2
+    enc_count: int                  # drive-encoder pulses counted this period
+    ref_count: Optional[int] = None  # reference-encoder pulses, optional
+    enc_missing: bool = False       # True when the field was empty in the source
+
+
+def log_row(log, k):
+    """Row ``k`` of a :class:`RawLog` as a :class:`RawSample`."""
+    return RawSample(
+        t=float(log.t[k]),
+        gyro_dps=float(log.gyro_dps[k]),
+        acc_x_mps2=float(log.acc_x_mps2[k]),
+        acc_y_mps2=float(log.acc_y_mps2[k]),
+        enc_count=int(log.enc_count[k]),
+        ref_count=None if log.ref_count is None else int(log.ref_count[k]),
+        enc_missing=bool(log.enc_missing[k]),
+    )
+
+
+def log_rows(log):
+    """The rows of a :class:`RawLog`, one :class:`RawSample` at a time."""
+    for k in range(len(log)):
+        yield log_row(log, k)
+
+
+def log_slice(log, *bounds):
+    """Rows ``slice(*bounds)`` of a :class:`RawLog`, as a RawLog of views."""
+    k = slice(*bounds)
+    return RawLog(log.t[k], log.gyro_dps[k], log.acc_x_mps2[k], log.acc_y_mps2[k],
+                  log.enc_count[k], None if log.ref_count is None else log.ref_count[k],
+                  log.enc_missing[k])
 
 
 def two_phase_wob(x, y_phi, y_rate, dt, alpha, beta):
@@ -289,7 +334,7 @@ def shadow_simulate_run(profile, gyro, accel, params, seed):
 
     from tiltkit.correction import CorrectionState, correction_pipeline_step, motion_terms
     from tiltkit.errors import SimulationError
-    from tiltkit.logio import RawLog, RawSample, TruthLog
+    from tiltkit.logio import TruthLog
     from tiltkit.reference import GRAVITY
 
     def clamp(value, saturation):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rig_params, simulate_rig
+from oracles import RawSample, log_rows, log_slice
 from test_readers import PROPERTY, _python_calls
 from tiltkit import reference as ref
 from tiltkit.config import RunConfig
@@ -32,7 +33,7 @@ from tiltkit.correction import (
 )
 from tiltkit.errors import ParameterError
 from tiltkit.filters import make_filter, run_filter_arrays
-from tiltkit.logio import RawLog, RawSample
+from tiltkit.logio import RawLog
 from tiltkit.model import (AccelErrorModel, GyroErrorModel, default_dynamic_profile, simulate_run,
                            zero_motion_profile)
 
@@ -258,7 +259,7 @@ class TestPipeline:
     def test_causality(self):
         truth, log, params = simulate_rig(duration=2.0)
         base = run_correction(log, params)
-        mutated = log[:]
+        mutated = log_slice(log, None)
         mutated.gyro_dps[150] += 25.0
         mutated.acc_x_mps2[150] += 1.0
         out = run_correction(mutated, params)
@@ -303,7 +304,7 @@ def _fold_pipeline(log, params):
     """The streaming reference: correction_pipeline_step folded over a log."""
     state = CorrectionState()
     out = []
-    for raw in log:
+    for raw in log_rows(log):
         sample, state = correction_pipeline_step(raw, params, state)
         out.append(sample)
     return out
@@ -370,7 +371,7 @@ class TestKernelMatchesStreamingReference:
         # names the term at the sample of the fold where the kernel does.
         _, log, params = dynamic_run_clean
         if name == "a_c":
-            log, params = log[:3], dataclasses.replace(params, gyro_bias=1e300)
+            log, params = log_slice(log, 3), dataclasses.replace(params, gyro_bias=1e300)
         else:
             n = 10
             log = RawLog(t=np.arange(n) * 0.01, gyro_dps=np.zeros(n), acc_x_mps2=np.zeros(n),
@@ -382,7 +383,7 @@ class TestKernelMatchesStreamingReference:
             with pytest.raises(ParameterError) as kernel_exc:
                 correct_columns(log, params)
             with pytest.raises(ParameterError) as ref_exc:
-                for raw in log:
+                for raw in log_rows(log):
                     state = correction_pipeline_step(raw, params, state)[1]
                     folded += 1
         assert str(kernel_exc.value) == (f"{name}[{k}] is inf where rate_bar[{k}] is finite: "
@@ -396,7 +397,7 @@ class TestKernelMatchesStreamingReference:
         # the motion terms of a non-finite corrected rate are not finite
         # either; both pass them on for the filters to refuse
         _, log, params = dynamic_run_clean
-        log, params = log[:20], dataclasses.replace(params, gyro_bias=value)
+        log, params = log_slice(log, 20), dataclasses.replace(params, gyro_bias=value)
         got = correct_columns(log, params)
         expected = _fold_pipeline(log, params)
         for name, column in zip(got._fields, got):
@@ -406,7 +407,7 @@ class TestKernelMatchesStreamingReference:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_short_logs(self, n):
         truth, log, params = simulate_rig(duration=0.05, gyro_noise=0.1, accel_noise=0.05)
-        log = log[:n]
+        log = log_slice(log, n)
         assert run_correction(log, params) == _fold_pipeline(log, params)
         phi_bar, rate_bar = run_correction_arrays(log, params)
         assert len(phi_bar) == len(rate_bar) == n
@@ -542,8 +543,8 @@ def test_kernel_makes_no_python_call_per_sample(dynamic_run_clean):
     _, log, params = dynamic_run_clean
     n, fixed = 2000, 100
     kernel = partial(correct_columns, params=params)
-    assert _python_calls(kernel, log[:n]) < fixed
-    assert _python_calls(kernel, log[:n]) == _python_calls(kernel, log[:20])
+    assert _python_calls(kernel, log_slice(log, n)) < fixed
+    assert _python_calls(kernel, log_slice(log, n)) == _python_calls(kernel, log_slice(log, 20))
 
 
 # --- kernel == streaming reference, on generated logs ------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import simulate_rig
-from oracles import (rowwise_estimate_csv, rowwise_spectrum_csv, rowwise_write_log,
-                     rowwise_write_truth)
+from oracles import (log_row, log_slice, rowwise_estimate_csv, rowwise_spectrum_csv,
+                     rowwise_write_log, rowwise_write_truth)
 from tiltkit.analysis import make_report
 from tiltkit.errors import OrderingError, ParameterError, ParseError
 from tiltkit.logio import (BLOCK_ROWS, RawLog, TruthLog, parse_log, read_columns, write_columns,
@@ -21,7 +21,7 @@ def test_single_row(tmp_path):
     path.write_text(HEADER + "0.000,0.0,0.0,9.80665,0,0\n")
     log = parse_log(path)
     assert len(log) == 1
-    s = log[0]
+    s = log_row(log, 0)
     assert s.acc_y_mps2 == 9.80665
     assert s.enc_count == 0 and s.ref_count == 0
 
@@ -79,15 +79,15 @@ def test_ref_column_optional(tmp_path):
     path.write_text("t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count\n0.0,1.0,0.0,9.8,3\n")
     log = parse_log(path)
     assert log.ref_count is None
-    assert log[0].enc_count == 3
+    assert log_row(log, 0).enc_count == 3
 
 
 def test_missing_enc_count_flagged(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text(HEADER + "0.0,0,0,9.8,,0\n")
     log = parse_log(path)
-    assert log[0].enc_missing
-    assert log[0].enc_count == 0
+    assert log_row(log, 0).enc_missing
+    assert log_row(log, 0).enc_count == 0
 
 
 def test_write_parse_roundtrip_bit_exact(tmp_path):
@@ -109,9 +109,9 @@ def test_ref_count_of_another_length_rejected(n_ref):
 
 def test_slicing():
     truth, log, params = simulate_rig(duration=1.0)
-    part = log[10:20]
+    part = log_slice(log, 10, 20)
     assert len(part) == 10
-    assert part[0] == log[10]
+    assert log_row(part, 0) == log_row(log, 10)
 
 
 def test_large_file_streams_with_bounded_memory(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rig_models, rig_params
-from oracles import looped_accel_columns, looped_correct_columns
+from oracles import log_slice, looped_accel_columns, looped_correct_columns
 from test_correction import _fold_pipeline, correction_cases
 from test_readers import PROPERTY
 from tiltkit import correction, model
@@ -114,8 +114,8 @@ def long_run():
                                   2 * SWEEP_ROWS + 1])
 def test_kernel_matches_loop_across_blocks(long_run, rows):
     (_, log), _, _, params = long_run
-    _assert_same_columns(correct_columns(log[:rows], params),
-                         looped_correct_columns(log[:rows], params))
+    _assert_same_columns(correct_columns(log_slice(log, rows), params),
+                         looped_correct_columns(log_slice(log, rows), params))
 
 
 def test_degenerate_rows_across_a_block_boundary():
