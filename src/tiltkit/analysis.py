@@ -155,12 +155,12 @@ def _cell(value):
     return value
 
 
-def _fmt(value):
+def _fmt(value, spec):
     if value is None:
         return ""
     if isinstance(value, float):
         if isfinite(value):
-            return f"{value:.5f}"
+            return format(value, spec)
         return "nan"
     return str(value)
 
@@ -195,15 +195,18 @@ def make_report(results, logs_metadata=None, trajectories=None):
         rows.append(row)
 
     headers = list(rows[0].keys())
-    widths = {h: max(len(h), max(len(_fmt(r[h])) for r in rows)) for h in headers}
+    # parameters to five significant digits, so a tiny q1 does not print as 0
+    cells = [{h: _fmt(row[h], ".5g" if h in _REPORT_PARAMS else ".5f") for h in headers}
+             for row in rows]
+    widths = {h: max(len(h), *(len(c[h]) for c in cells)) for h in headers}
     lines = []
     if logs_metadata:
         lines.append(str(logs_metadata))
         lines.append("")
     lines.append("  ".join(h.ljust(widths[h]) for h in headers))
     lines.append("  ".join("-" * widths[h] for h in headers))
-    for row in rows:
-        lines.append("  ".join(_fmt(row[h]).ljust(widths[h]) for h in headers))
+    for c in cells:
+        lines.append("  ".join(c[h].ljust(widths[h]) for h in headers))
     text = "\n".join(lines) + "\n"
 
     columns = {}

@@ -25,6 +25,7 @@ failure.
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from itertools import islice
@@ -80,7 +81,10 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of every :func:`main` call in a process; a parse
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tiltkit", allow_abbrev=False,
         description="Tilt measurement toolkit: simulate, correct, filter, tune.")

@@ -4,9 +4,11 @@ A raw log is stored column-wise (one numpy array per channel), and the
 readers parse a file with numpy's C reader (``np.loadtxt``) into one
 structured array with a field per header column, so that a
 multi-million-row file never materialises one Python object per row.
-numpy refuses a row without one field per header name.  A read of some
-columns parses only those: the others are zero-width text fields, which
-take any text.
+The ``csv`` module reads the header; numpy gets the file's path and skips
+the header's lines, so it reads the file in chunks rather than a line
+string at a time.  numpy refuses a row without one field per header name.
+A read of some columns parses only those: the others are zero-width text
+fields, which take any text.
 
 CSV layout (fixed header, decimal point, no locale formatting)::
 
@@ -29,6 +31,7 @@ non-finite value, as the readers do.  Rows of ``log.csv`` and
 from math import inf, isfinite, nan
 
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -107,9 +110,13 @@ def _read_rows(path, log=False, names=None):
     a float (for a log's counts an int64) for a column read, and for any
     other a zero-width text field, which takes any text and parses none.
     With ``names``, the columns read are those of the header's names in
-    ``names``.  numpy refuses a row without one field per header name."""
+    ``names``.  numpy gets the path and skips the physical lines that the
+    ``csv`` module read the header from (more than one if a quoted name
+    holds a line end).  numpy refuses a row without one field per header
+    name."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
     if header is None:
         raise ParseError("empty file", line=1)
     if log:
@@ -129,13 +136,12 @@ def _read_rows(path, log=False, names=None):
     for columns in (set(), blank):
         flags = {c: [] for c in columns}
         try:
-            with open(path, newline="") as fh, warnings.catch_warnings():
-                next(csv.reader(fh))
+            with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 converters = {c: _blank_field(int if log else float, f) for c, f in flags.items()}
                 return header, cols, np.loadtxt(
-                    fh, dtype, delimiter=",", comments=None, quotechar='"', converters=converters,
-                    ndmin=1), flags
+                    os.fspath(path), dtype, delimiter=",", comments=None, quotechar='"',
+                    converters=converters, skiprows=reader.line_num, ndmin=1), flags
         except (ValueError, OverflowError):
             continue
     _raise_first_bad_field(path, header, log, [header[c] for c in cols])

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,21 @@ class TestMakeReport:
         assert row["mse_verification"] == 0.78603
         assert row["stability"] == "stable"
         assert "wb" in report.text
+
+    def test_parameters_print_to_five_significant_digits(self):
+        # the tune workload's tuned kalman_star: its q1 and q2 printed as
+        # 0.00000 at five decimals; the MSEs keep five decimals
+        params = {"q1": 3.909745162636557e-09, "q2": 3.5e-12, "r": 0.25}
+        res = TuningResult("kalman_star", 0.01, params, training_mse=1.2345678,
+                           verification_mse=float("nan"), iterations=7, converged=False,
+                           stability_report=None)
+        report = make_report([res])
+        header, rule, row = report.text.splitlines()
+        cells = {header[a:b].strip(): row[a:b].strip()
+                 for a, b in (m.span() for m in re.finditer("-+", rule))}
+        assert (cells["q1"], cells["q2"], cells["r"]) == ("3.9097e-09", "3.5e-12", "0.25")
+        assert (cells["dt_ms"], cells["mse_training"]) == ("10.00000", "1.23457")
+        assert "3.909745162636557e-09" in report.results_csv()
 
     def test_full_sweep_shape(self):
         report = make_report(_result_rows())

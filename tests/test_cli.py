@@ -137,6 +137,35 @@ class TestCommands:
                      "--log", str(out / "log.csv")]) == 0
         assert (out / "estimate.csv").read_text().split("\n", 1)[0] == "t,phi_hat_deg"
 
+    def test_calls_in_one_process_share_one_parser(self, tmp_path, capsys):
+        # main parses every call with one parser; no flag of a call, nor a
+        # usage error, reaches the next call
+        assert build_parser() is build_parser()
+        cfg_path, _ = write_config(tmp_path, gyro_noise_std_dps=0.17)
+        cfg = ["--config", str(cfg_path)]
+        sims = [tmp_path / name for name in ("sim", "sim_seed_7", "sim_again")]
+        for out, seed in zip(sims, ([], ["--seed", "7"], [])):
+            assert main(["simulate", *cfg, "--out", str(out)] + seed) == 0
+            assert capsys.readouterr().out.count(f"# seed={seed[1] if seed else 1}\n") == 1
+        logs = [(out / "log.csv").read_bytes() for out in sims]
+        assert logs[0] == logs[2] != logs[1]
+
+        run = ["run", *cfg, "--log", str(sims[0] / "log.csv"), "--out"]
+        runs = [tmp_path / name for name in ("run", "run_debug_wob", "run_again")]
+        for out, flags in zip(runs, ([], ["--debug-intermediates", "--variant", "wob"], [])):
+            assert main(run + [str(out)] + flags) == 0
+            assert f"variant={'wob' if flags else 'wb'}\n" in capsys.readouterr().out
+        headers = [(out / "estimate.csv").read_text().split("\n", 1)[0] for out in runs]
+        assert headers == ["t,phi_hat_deg", "t,phi_hat_deg,phi_bar_deg,rate_bar_dps,a_c,a_e,a_t,"
+                           "a_t_x,a_t_y", "t,phi_hat_deg"]
+        assert (runs[0] / "estimate.csv").read_bytes() == (runs[2] / "estimate.csv").read_bytes()
+
+        assert main(run + [str(tmp_path / "usage"), "--seed", "7"]) == 2
+        assert main(run + [str(tmp_path / "after_usage")]) == 0
+        assert not (tmp_path / "usage").exists()
+        assert ((tmp_path / "after_usage" / "estimate.csv").read_bytes()
+                == (runs[0] / "estimate.csv").read_bytes())
+
     def test_run_reproducible_bytes(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, gyro_noise_std_dps=0.17,
                                    accel_noise_std_mps2=0.1)
