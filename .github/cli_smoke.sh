@@ -13,7 +13,10 @@
 # error (exit 2).  A run whose
 # estimates overflow to inf (alpha=1e300), a simulation whose sensor
 # columns do (gyro_bias_dps=1e300) and a run whose motion terms do
-# (gyro_bias_dps=1e300) must exit 4 and write nothing.
+# (gyro_bias_dps=1e300) must exit 4 and write nothing.  Last, a 2 ms
+# simulate of 20,000 samples, about five 4,096-row blocks, so that each
+# file's second half is formatted in a forked child: two runs must write
+# the same log.csv and truth.csv, and run and eval must accept that log.
 #
 #   bash .github/cli_smoke.sh "$(command -v tiltkit)"
 set -euo pipefail
@@ -96,3 +99,17 @@ if [ "$code" -ne 4 ] || [ -e overflowing/estimate.csv ]; then
   echo "run with gyro_bias_dps=1e300 exited $code, want 4 and no estimate.csv"
   exit 1
 fi
+printf 'dt_ms=2\nN_drive=2000\nduration_s=40\nseed=1\nvariant=wb\nalpha=0.00185\nbeta=-0.00018\n' > long.cfg
+"$tiltkit" simulate --config long.cfg --out long1
+"$tiltkit" simulate --config long.cfg --out long2
+rows="$(wc -l < long1/log.csv)"
+if [ "$rows" -ne 20001 ]; then
+  echo "the 2 ms simulate wrote $rows lines of log.csv, want a header and 20000 rows"
+  exit 1
+fi
+if ! cmp long1/log.csv long2/log.csv || ! cmp long1/truth.csv long2/truth.csv; then
+  echo "two 2 ms simulate runs wrote different files"
+  exit 1
+fi
+"$tiltkit" run --config long.cfg --out long1 --log long1/log.csv
+"$tiltkit" eval --config long.cfg --out long1 --log long1/estimate.csv --truth long1/truth.csv

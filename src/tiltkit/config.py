@@ -23,7 +23,7 @@ import numpy as np
 from .correction import CorrectionParams
 from .errors import ConfigError, ParameterError, ParseError
 from .filters import PARAMS, canonical_variant
-from .logio import number
+from .logio import decoding, number
 from .model import AccelErrorModel, GyroErrorModel
 from .reference import (
     ACCEL_SATURATION_MPS2,
@@ -171,8 +171,9 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    with decoding(path), open(path) as fh:
+        text = fh.read()
+    return parse_config_text(text)
 
 
 def check_dt_matches(config, t):

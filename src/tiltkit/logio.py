@@ -19,19 +19,33 @@ writes the column only for a log that has the reference channel, and a file
 without it has the 5-column header.  A ``ref_count`` field may be empty; a
 column that is empty on every row reads as no channel.  An empty
 ``enc_count`` field is accepted and flagged; it is treated as zero pulses
-downstream.
+downstream.  Every reader decodes with the locale's text encoding, and a
+byte it cannot decode is a :class:`ParseError` naming its line
+(:func:`decoding`).
+
 Floats are written with ``repr`` so a written file re-parses bit-exactly.
 Every writer goes through :func:`write_columns`, which refuses a
 non-finite value, as the readers do.  Rows of ``log.csv`` and
 ``truth.csv`` (:func:`write_log`, :func:`write_truth`) end in CRLF, the
 ``csv`` module's default; rows of the CLI's ``estimate.csv`` and
 ``spectrum.csv`` end in LF.
+
+A write of at least ``4 * BLOCK_ROWS`` rows uses a second core: a child
+forked before the file is opened formats its second half, from a block
+boundary near half its rows, and sends it down a pipe, while the parent
+formats and writes the header and the first half, then copies the pipe
+into the file.  The child holds its half's text until the parent reads
+it.  A smaller write, a platform without ``os.fork`` and a process with
+more than one live thread (forking one is unsafe) write every row in the
+parent, through the same block loop.
 """
 
 from math import inf, isfinite, nan
 
+import contextlib
 import csv
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -92,6 +106,26 @@ def number(text, kind=float):
     return kind(text)
 
 
+@contextlib.contextmanager
+def decoding(path):
+    """Turn a UnicodeDecodeError raised in the ``with`` block, which reads
+    the file at ``path`` in the locale's text encoding, into a
+    :class:`ParseError` naming the first line that holds a byte the
+    encoding cannot decode."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, newline="", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.encode(fh.encoding)
+                except UnicodeEncodeError as exc:
+                    byte = line[exc.start].encode(fh.encoding, "surrogateescape")
+                    raise ParseError(f"byte {byte!r} is not {fh.encoding} text",
+                                     line=line_no) from None
+        raise ParseError(f"not {fh.encoding} text, or the file changed") from None
+
+
 def _blank_field(kind, flags):
     """A converter for a column whose fields may be empty: an empty field
     reads as 0 or NaN, and ``flags`` gets one "was empty" bool per row."""
@@ -114,7 +148,7 @@ def _read_rows(path, log=False, names=None):
     ``csv`` module read the header from (more than one if a quoted name
     holds a line end).  numpy refuses a row without one field per header
     name."""
-    with open(path, newline="") as fh:
+    with decoding(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
     if header is None:
@@ -136,7 +170,7 @@ def _read_rows(path, log=False, names=None):
     for columns in (set(), blank):
         flags = {c: [] for c in columns}
         try:
-            with warnings.catch_warnings():
+            with decoding(path), warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 converters = {c: _blank_field(int if log else float, f) for c, f in flags.items()}
                 return header, cols, np.loadtxt(
@@ -183,17 +217,75 @@ def _block_fields(column, start, stop):
     return map(repr, column[start:stop].tolist())
 
 
+def _write_blocks(write, columns, start, stop, line_end):
+    """Hand ``write`` rows start..stop of :func:`write_columns`, a list of
+    lines per block of :data:`BLOCK_ROWS` rows; ``start`` is a block
+    boundary.  Each list is freed before the next is made."""
+    for block in range(start, stop, BLOCK_ROWS):
+        rows = zip(*(_block_fields(c, block, min(block + BLOCK_ROWS, stop)) for c in columns))
+        write([",".join(row) + line_end for row in rows])
+
+
+# Bytes the parent copies from the child's pipe per read: the default
+# capacity of a Linux pipe.
+PIPE_CHUNK = 1 << 16
+
+
+def _fork_rows(columns, start, stop, line_end):
+    """Fork a child that formats rows start..stop of :func:`write_columns`
+    and sends them ASCII-encoded down a pipe; returns its pid and the
+    pipe's read end.  The child formats every row before it sends one, so
+    that it need not wait for the parent to read, and always leaves by
+    ``os._exit``: 0 once every byte is sent, 1 on any exception."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on a fork while a second OS thread runs.
+            # Any such thread here is numpy's BLAS pool, not Python's, and
+            # the child calls no BLAS routine.
+            warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            text = []
+            _write_blocks(lambda lines: text.append("".join(lines).encode("ascii")),
+                          columns, start, stop, line_end)
+            for chunk in text:
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(write_end, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
 def write_columns(path, header, columns, line_end="\n"):
     """Write equal-length numpy columns as CSV rows ending in ``line_end``.
 
     A field is the ``repr`` of the column's Python value: floats re-parse
     bit-exactly, ints print as digits.  A ``(values, blank)`` pair is empty
     where the boolean array ``blank`` is set.  The first column must be an
-    array; it fixes the row count.  A column of another length, or a
-    non-finite value in a field that is not blank, which the readers
-    refuse, is a :class:`ParameterError` raised before the file is opened.
-    Rows are formatted :data:`BLOCK_ROWS` at a time.
+    array; it fixes the row count.  A header without one name per column,
+    a column of another length, or a non-finite value in a field that is
+    not blank, each of which the readers refuse, is a
+    :class:`ParameterError` raised before the file is opened.
+    Rows are formatted :data:`BLOCK_ROWS` at a time.  A write of at least
+    ``4 * BLOCK_ROWS`` rows, in a process with ``os.fork`` and one live
+    thread, formats the rows from the last block boundary at or before half
+    of them in a forked child, so each process formats at least two
+    blocks; a child that does not exit 0 is an :class:`OSError` naming
+    ``path``.
     """
+    if len(header) != len(columns):
+        raise ParameterError(f"{len(header)} header names for {len(columns)} columns")
     n = len(columns[0])
     for name, column in zip(header, columns):
         values, blank = column if isinstance(column, tuple) else (column, False)
@@ -203,11 +295,31 @@ def write_columns(path, header, columns, line_end="\n"):
         bad = np.flatnonzero(~(np.isfinite(values) | blank))
         if bad.size:
             raise ParameterError(f"column {name} row {bad[0]} is {values[bad[0]]}, not finite")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + line_end)
-        for start in range(0, n, BLOCK_ROWS):
-            rows = zip(*(_block_fields(c, start, min(start + BLOCK_ROWS, n)) for c in columns))
-            fh.writelines([",".join(row) + line_end for row in rows])
+    mid = n
+    if n >= 4 * BLOCK_ROWS and hasattr(os, "fork") and threading.active_count() == 1:
+        mid = n // 2 // BLOCK_ROWS * BLOCK_ROWS
+        pid, read_end = _fork_rows(columns, mid, n, line_end)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + line_end)
+            _write_blocks(fh.writelines, columns, 0, mid, line_end)
+            if mid < n:
+                fh.flush()
+                # One buffer for every read: a bytes object per os.read
+                # left the heap fragmented, 2-3 MB above the one-process
+                # write's peak by the next large numpy read.
+                chunk = memoryview(bytearray(PIPE_CHUNK))
+                while size := os.readv(read_end, [chunk]):
+                    fh.buffer.write(chunk[:size])
+    finally:
+        if mid < n:
+            # Closed before the wait: a child still sending then gets
+            # BrokenPipeError and exits, where it would block for ever.
+            os.close(read_end)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if mid < n and code:
+        raise OSError(f"could not write {path}: the process formatting rows {mid} to {n} "
+                      f"exited with {code}")
 
 
 def write_log(path, log):
@@ -252,7 +364,7 @@ def _raise_first_bad_field(path, names, log=False, columns=None):
     name or bad field of the ``columns`` read (all by default).  Fields
     may be empty or finite numbers; in a log only counts may be empty, they
     must be int64 integers, and ``t`` must increase (OrderingError)."""
-    with open(path, newline="") as fh:
+    with decoding(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         prev_t = -inf

@@ -1,3 +1,4 @@
+import gzip
 import tempfile
 import warnings
 from dataclasses import fields
@@ -59,6 +60,12 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(ParseError):
             parse_config_text("dt_ms=ten\nN_drive=100\n")
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"dt_ms=10\nN_drive=100\nvariant=w\xffb\n")
+        with pytest.raises(ParseError, match=r"(?i)^byte b'\\xff' is not utf-8 text \(line 3\)$"):
+            load_config(path)
 
     def test_repeated_key(self):
         # a second alpha used to win silently
@@ -538,6 +545,29 @@ class TestCommands:
         bad.write_text("t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n0,0,0,9.8,1.5,0\n")
         assert main(["run", "--config", str(cfg_path), "--log", str(bad),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("name, data, line", [
+        ("log.csv", b"t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count\n0,0,0,9.8,0\n"
+                    b"0.01,0,0,9.8,0\xff\n", 3),
+        ("est.csv", b"t,phi_hat_deg,phi_deg\n0,0.1,0.1\n0.01,0.1,0.2\xff\n", 3),
+        ("log.csv.gz", gzip.compress(b"t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count\n"
+                                     b"0,0,0,9.8,0\n", mtime=0), 1),
+        ("bad.cfg", b"dt_ms=10\nN_drive=100\nseed=\xff1\n", 3),
+    ], ids=["run", "eval", "run_gzip", "simulate_config"])
+    def test_undecodable_byte_exit_3(self, tmp_path, capsys, name, data, line):
+        # a byte that is not UTF-8, the locale's encoding, in a log, an
+        # estimate or a config; a gzip file's second byte is one
+        cfg_path, _ = write_config(tmp_path)
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        out = str(tmp_path / "out")
+        argv = {"log.csv": ["run", "--config", str(cfg_path), "--log", str(bad)],
+                "est.csv": ["eval", "--config", str(cfg_path), "--log", str(bad)],
+                "log.csv.gz": ["run", "--config", str(cfg_path), "--log", str(bad)],
+                "bad.cfg": ["simulate", "--config", str(bad)]}[name]
+        assert main(argv + ["--out", out]) == 3
+        assert f"is not utf-8 text (line {line})" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("enc, ref", [("9223372036854775808", "0"),
                                           ("1", "-9223372036854775809"),

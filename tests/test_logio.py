@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,6 +11,7 @@ import pytest
 from conftest import simulate_rig
 from oracles import (log_row, log_slice, rowwise_estimate_csv, rowwise_spectrum_csv,
                      rowwise_write_log, rowwise_write_truth)
+from tiltkit import logio
 from tiltkit.analysis import make_report
 from tiltkit.errors import OrderingError, ParameterError, ParseError
 from tiltkit.logio import (BLOCK_ROWS, RawLog, TruthLog, parse_log, read_columns, write_columns,
@@ -14,6 +19,14 @@ from tiltkit.logio import (BLOCK_ROWS, RawLog, TruthLog, parse_log, read_columns
 from tiltkit.tuning import TuningResult
 
 HEADER = "t,gyro_dps,acc_x_mps2,acc_y_mps2,enc_count,ref_count\n"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # A split write waits for its child, whether the write succeeds or not.
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_single_row(tmp_path):
@@ -262,6 +275,103 @@ def test_write_columns_refuses_unequal_lengths(tmp_path, columns, message):
     with pytest.raises(ParameterError, match=message):
         write_columns(path, ["a", "b", "c"][:len(columns)], columns)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("names, count", [(["a"], 2), (["a", "b", "c"], 2)])
+def test_write_columns_refuses_a_header_without_one_name_per_column(tmp_path, names, count):
+    # read_columns would refuse the file: expected 1 fields, got 2 (line 2)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ParameterError, match=f"^{len(names)} header names for {count} columns$"):
+        write_columns(path, names, [np.arange(3.0)] * count)
+    assert not path.exists()
+
+
+# Row counts at and around the split threshold, the last one with a
+# partial block on the child's side.
+SPLIT_SIZES = (4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1, 7 * BLOCK_ROWS + 5)
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+def test_split_write_matches_rowwise_writers(tmp_path, monkeypatch, n):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(True) or fork())
+    rng = np.random.default_rng(n)
+    floats = _float_columns(n, 4, seed=n, specials=FINITE_SPECIAL_FLOATS)
+    missing = rng.random(n) < 0.2
+    mid = n // 2 // BLOCK_ROWS * BLOCK_ROWS
+    missing[[0, mid - 1, mid, mid + 1, n - 1]] = True
+    log = RawLog(*floats, rng.integers(-2 ** 62, 2 ** 62, n), rng.integers(-5, 5, n), missing)
+    _assert_same_bytes(tmp_path, write_log, rowwise_write_log, log)
+    truth = TruthLog(*_float_columns(n, 7, seed=n + 1, specials=FINITE_SPECIAL_FLOATS))
+    _assert_same_bytes(tmp_path, write_truth, rowwise_write_truth, truth)
+    assert len(forks) == (2 if n >= 4 * BLOCK_ROWS else 0)
+
+
+def test_split_write_child_failure_is_oserror(tmp_path, monkeypatch):
+    n = 4 * BLOCK_ROWS
+    block_fields = logio._block_fields
+
+    def fail(column, start, stop):
+        if start >= 2 * BLOCK_ROWS:  # the child's rows
+            raise RuntimeError("formatting failed")
+        return block_fields(column, start, stop)
+    monkeypatch.setattr(logio, "_block_fields", fail)
+    path = tmp_path / "out.csv"
+    with pytest.raises(OSError, match=f"^could not write {path}: the process formatting rows "
+                                      f"{2 * BLOCK_ROWS} to {n} exited with 1$"):
+        write_columns(path, ["a", "b"], [np.arange(n, dtype=float)] * 2)
+
+
+def test_split_write_parent_failure_stops_the_child(tmp_path, monkeypatch):
+    # The parent fails half a second into its second block, by when the
+    # child has formatted its 131 kB, twice a pipe's capacity, and blocks
+    # on the full pipe: it must get BrokenPipeError rather than wait for a
+    # reader for ever.  The alarm turns such a deadlock into a failure.
+    n = 7 * BLOCK_ROWS
+    block_fields = logio._block_fields
+
+    def fail(column, start, stop):
+        if start == BLOCK_ROWS:
+            time.sleep(0.5)
+            raise RuntimeError("parent failed")
+        return block_fields(column, start, stop)
+    monkeypatch.setattr(logio, "_block_fields", fail)
+
+    def deadlock(signum, frame):
+        raise TimeoutError("write_columns did not return in 20 s")
+    previous = signal.signal(signal.SIGALRM, deadlock)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="parent failed"):
+            write_columns(tmp_path / "out.csv", ["a"], [np.arange(n, dtype=float)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, process", [
+    (4 * BLOCK_ROWS - 1, "one thread"),
+    (4 * BLOCK_ROWS, "two threads"),
+    (4 * BLOCK_ROWS, "no os.fork"),
+])
+def test_writes_in_one_process_when_a_fork_is_not_wanted(tmp_path, monkeypatch, n, process):
+    def refuse():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", refuse)
+    if process == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    truth = TruthLog(*_float_columns(n, 7, seed=n, specials=FINITE_SPECIAL_FLOATS))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if process == "two threads":
+        thread.start()
+    try:
+        _assert_same_bytes(tmp_path, write_truth, rowwise_write_truth, truth)
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _write_report(path, columns):

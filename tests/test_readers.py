@@ -6,6 +6,7 @@ time with ``float``/``int``.  Arrays are compared by their bytes, errors
 by (type, line, column).
 """
 
+import gzip
 import sys
 import tracemalloc
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import rowwise_parse_log, rowwise_read_columns
+from tiltkit import logio
 from tiltkit.errors import OrderingError, ParseError, TiltkitError
 from tiltkit.logio import CSV_HEADER, RawLog, parse_log, read_columns, write_columns, write_log
 
@@ -212,6 +214,44 @@ def test_read_columns_refuses_repeated_header_name(tmp_path, header, name):
     path.write_text(lines(header, "1,2,3,4"[:len(header)]))
     assert list(rowwise_read_columns(path)) == list(dict.fromkeys(header.split(",")))
     assert outcome(read_columns, path) == (ParseError, 1, name)
+
+
+# The readers decode with the locale's encoding, UTF-8, in which \xff is
+# not a character.  MANY_ROWS fill more than the csv module's first
+# decoded chunk, so that only numpy's read decodes a row after them.
+MANY_ROWS = [f"{k * 0.002!r},1.5,-0.25,9.8,3,4" for k in range(2000)]
+
+
+@pytest.mark.parametrize("read", [parse_log, read_columns])
+@pytest.mark.parametrize("data, line", [
+    (lines("t,gyro\xff", "0,1").encode("latin-1"), 1),
+    (gzip.compress(lines(H6, ROW).encode(), mtime=0), 1),
+    (lines(H6, *ROWS[:2], ROWS[2] + "\xff").encode("latin-1"), 4),
+], ids=["header", "gzip", "row_3"])
+def test_undecodable_byte_before_numpy_read(tmp_path, read, data, line):
+    # the csv module's header read decodes the file's first chunk
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    assert outcome(read, path) == (ParseError, line, None)
+
+
+@pytest.mark.parametrize("read", [parse_log, read_columns])
+def test_undecodable_byte_in_numpy_read(tmp_path, monkeypatch, read):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the row-wise locator was called")
+    monkeypatch.setattr(logio, "_raise_first_bad_field", unreachable)
+    path = tmp_path / "log.csv"
+    path.write_bytes(lines(H6, *MANY_ROWS, "0\xff,1,2,3,4,5").encode("latin-1"))
+    with pytest.raises(ParseError, match=r"(?i)^byte b'\\xff' is not utf-8 text \(line 2002\)$"):
+        read(path)
+
+
+def test_undecodable_byte_in_row_wise_locator(tmp_path):
+    path = tmp_path / "cols.csv"
+    path.write_bytes(lines("a,b", *["1,2"] * 3000, "1,\xff").encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        logio._raise_first_bad_field(path, ["a", "b"])
+    assert (exc.value.line, exc.value.column) == (3002, None)
 
 
 SELECTED = "a,b,c"
